@@ -246,8 +246,7 @@ pub struct BaselineScenario {
     pub events: u64,
     /// Recorded throughput.
     pub events_per_sec: f64,
-    /// Recorded one-off setup cost in milliseconds (0 for non-det scenarios;
-    /// converted from `setup_seconds` when reading a v1 artifact).
+    /// Recorded one-off setup cost in milliseconds (0 for non-det scenarios).
     pub setup_ms: f64,
 }
 
@@ -261,34 +260,18 @@ pub struct Baseline {
 }
 
 impl Baseline {
-    /// Parses a `det-synchronizer-bench/v6` artifact, or an older one: v5 (no
-    /// `peak_live_handles`/`arena_bytes`/`max_batch` event-arena counters —
-    /// the engine predates the recycled arena), v4 (additionally no
-    /// `dropped_events`/`fault_transitions` fault counters — the engine
-    /// predates fault injection; a checked-in fixture under
-    /// `crates/bench/fixtures/` pins this reader), v3 (additionally no
-    /// `workers`/`batched_ticks` fields — the engine predates the worker
-    /// pool), v2 (additionally no `threads` field — every scenario was
-    /// serial) and v1 (records `setup_seconds`, converted to `setup_ms`)
-    /// baselines stay readable so regenerating the committed artifact can
-    /// never break the comparison gate mid-PR.
+    /// Parses a `det-synchronizer-bench/v6` artifact, the schema of every
+    /// committed baseline. Older schemas are rejected.
     ///
     /// # Errors
     ///
     /// Returns a description of the first syntax or schema problem.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        const SUPPORTED: [&str; 6] = [
-            "det-synchronizer-bench/v6",
-            "det-synchronizer-bench/v5",
-            "det-synchronizer-bench/v4",
-            "det-synchronizer-bench/v3",
-            "det-synchronizer-bench/v2",
-            "det-synchronizer-bench/v1",
-        ];
+        const SUPPORTED: &str = "det-synchronizer-bench/v6";
         let mut parser = Parser::new(text);
         let root = parser.parse_value()?;
         let schema = root.get("schema").and_then(Value::as_str).unwrap_or("");
-        if !SUPPORTED.contains(&schema) {
+        if schema != SUPPORTED {
             return Err(format!("unsupported baseline schema {schema:?}"));
         }
         let mode = root.get("mode").and_then(Value::as_str).unwrap_or("unknown").to_string();
@@ -308,11 +291,8 @@ impl Baseline {
                 .get("events_per_sec")
                 .and_then(Value::as_f64)
                 .ok_or("scenario without events_per_sec")?;
-            let setup_ms = s
-                .get("setup_ms")
-                .and_then(Value::as_f64)
-                .or_else(|| s.get("setup_seconds").and_then(Value::as_f64).map(|x| x * 1e3))
-                .ok_or("scenario without setup_ms/setup_seconds")?;
+            let setup_ms =
+                s.get("setup_ms").and_then(Value::as_f64).ok_or("scenario without setup_ms")?;
             scenarios.insert(
                 id,
                 BaselineScenario { events: events as u64, events_per_sec: eps, setup_ms },
@@ -574,6 +554,7 @@ mod tests {
     #[test]
     fn rejects_foreign_schemas() {
         assert!(Baseline::parse("{\"schema\": \"something/v9\"}").is_err());
+        assert!(Baseline::parse("{\"schema\": \"det-synchronizer-bench/v5\"}").is_err());
         assert!(Baseline::parse("{not json").is_err());
     }
 
@@ -676,87 +657,6 @@ mod tests {
         let new = vec![with_setup(record("grid/4096/det/uniform", 1000, 1e6), 60.0)];
         let report = compare_against_baseline(&new, &baseline, DEFAULT_TOLERANCE);
         assert!(report.passed());
-    }
-
-    #[test]
-    fn parses_the_checked_in_v4_fixture() {
-        // `fixtures/baseline_v4.json` is a verbatim excerpt of the last v4
-        // artifact this repo committed (no fault or arena counters). Reading a
-        // real on-disk artifact — not a hand-written literal — pins the reader
-        // against the exact bytes older checkouts compare against.
-        let v4 = include_str!("../fixtures/baseline_v4.json");
-        let baseline = Baseline::parse(v4).expect("v4 fixture parses");
-        assert_eq!(baseline.mode, "full");
-        assert_eq!(baseline.scenarios.len(), 3);
-        assert_eq!(
-            baseline.scenarios["grid/4096/det/uniform"],
-            BaselineScenario {
-                events: 1_119_962,
-                events_per_sec: 1_424_173.071_404_047_8,
-                setup_ms: 18.311_127,
-            }
-        );
-        assert_eq!(baseline.scenarios["grid/256/direct/none"].events, 705);
-        assert_eq!(baseline.scenarios["torus/16384/det/jitter"].events, 5_245_927);
-        // The v4 fixture must gate a v6 run exactly like a fresh baseline:
-        // identical events pass, a changed schedule fails.
-        let new = vec![record("grid/256/direct/none", 705, 1e6)];
-        let report = compare_against_baseline(&new, &baseline, DEFAULT_TOLERANCE);
-        assert!(report.schedule_ok(), "identical event counts must pass the v4 gate");
-        let drifted = vec![record("grid/256/direct/none", 706, 1e6)];
-        let report = compare_against_baseline(&drifted, &baseline, DEFAULT_TOLERANCE);
-        assert!(!report.schedule_ok(), "a drifted schedule must fail the v4 gate");
-    }
-
-    #[test]
-    fn parses_v3_baselines_without_worker_fields() {
-        // The committed artifact regenerates as v4 mid-PR; the gate must keep
-        // reading the previous release's v3 artifact until then.
-        let v3 = r#"{
-            "schema": "det-synchronizer-bench/v3",
-            "mode": "full",
-            "scenarios": [
-                {"scenario": "grid/16/det/uniform", "events": 7, "threads": 2,
-                 "events_per_sec": 1000.0, "setup_ms": 12.5}
-            ]
-        }"#;
-        let baseline = Baseline::parse(v3).expect("v3 parses");
-        assert_eq!(
-            baseline.scenarios["grid/16/det/uniform"],
-            BaselineScenario { events: 7, events_per_sec: 1000.0, setup_ms: 12.5 }
-        );
-    }
-
-    #[test]
-    fn parses_v2_baselines_without_a_threads_field() {
-        // v2 predates the `threads` field entirely; it must stay readable too.
-        let v2 = r#"{
-            "schema": "det-synchronizer-bench/v2",
-            "mode": "full",
-            "scenarios": [
-                {"scenario": "grid/16/det/uniform", "events": 7,
-                 "events_per_sec": 1000.0, "setup_ms": 12.5}
-            ]
-        }"#;
-        let baseline = Baseline::parse(v2).expect("v2 parses");
-        assert_eq!(
-            baseline.scenarios["grid/16/det/uniform"],
-            BaselineScenario { events: 7, events_per_sec: 1000.0, setup_ms: 12.5 }
-        );
-    }
-
-    #[test]
-    fn parses_v1_baselines_converting_setup_seconds() {
-        let v1 = r#"{
-            "schema": "det-synchronizer-bench/v1",
-            "mode": "full",
-            "scenarios": [
-                {"scenario": "grid/16/det/uniform", "events": 7,
-                 "events_per_sec": 1000.0, "setup_seconds": 0.25}
-            ]
-        }"#;
-        let baseline = Baseline::parse(v1).expect("v1 parses");
-        assert_eq!(baseline.scenarios["grid/16/det/uniform"].setup_ms, 250.0);
     }
 
     #[test]

@@ -47,11 +47,11 @@ use crate::delay::DelayModel;
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::{MessageClass, RunMetrics};
 use crate::protocol::{Ctx, Outgoing, Protocol};
+use crate::recycle::EngineSlab;
 use crate::scheduler::{EventScheduler, HeapScheduler, TimingWheel};
 use crate::stage_queue::StageQueue;
 use crate::trace::{DeliveryTrace, TraceState};
-use crate::SchedulerKind;
-use crate::TICKS_PER_UNIT;
+use crate::{SchedulerKind, ThreadMode, TICKS_PER_UNIT};
 use ds_graph::{DirectedEdgeId, Graph, NodeId};
 use std::fmt;
 
@@ -149,6 +149,8 @@ pub struct AsyncReport<P> {
     /// whose tick was reached; identical across engines). Always 0 without a
     /// [`FaultPlan`].
     pub fault_transitions: u64,
+    /// The delivery trace, when [`RunOptions::trace`] asked for one.
+    pub trace: Option<DeliveryTrace>,
 }
 
 /// Per-directed-edge link state, indexed flat by [`DirectedEdgeId`] (shared with
@@ -208,9 +210,9 @@ impl<M> LinkState<M> {
     }
 }
 
-/// The reusable, allocation-heavy halves of a serial engine: everything
-/// `run_engine` builds per run except the protocol instances and the event
-/// scheduler. [`crate::recycle::EngineSlab`] keeps one of these (plus a
+/// The reusable, allocation-heavy halves of a serial engine: everything a run
+/// builds except the protocol instances and the event scheduler.
+/// [`crate::recycle::EngineSlab`] keeps one of these (plus a
 /// [`TimingWheel`]) across runs so link tables, stage queues, the payload
 /// arena and the outbox buffer are reshaped rather than reallocated.
 ///
@@ -243,6 +245,13 @@ impl<M> Default for EngineParts<M> {
 }
 
 impl<M> EngineParts<M> {
+    /// Cold parts shaped for a run on `graph`.
+    pub(crate) fn new(graph: &Graph) -> Self {
+        let mut parts = EngineParts::default();
+        parts.adopt(graph);
+        parts
+    }
+
     /// Reshapes the parts for a run on `graph`, asserting the previous run
     /// left them clean. Endpoints are rewritten unconditionally — adoption
     /// never trusts a hash to decide the link table still matches the
@@ -447,10 +456,63 @@ impl<'a, P: Protocol, S: EventScheduler<EvRef>> Engine<'a, P, S> {
     }
 }
 
-/// Runs an asynchronous protocol on `graph` under the delay adversary `delay`,
-/// scheduling with the default [`SchedulerKind::TimingWheel`].
+/// Knobs of one [`run_async`] call. [`RunOptions::default`] is the plain
+/// run — timing wheel, default limits, no faults, no trace, no slab,
+/// [`ThreadMode::Auto`], batching on — so callers spell out only what they
+/// change: `RunOptions { trace: true, ..RunOptions::default() }`.
+pub struct RunOptions<'a, M> {
+    /// The delivery budget (`SimLimits::max_events`).
+    pub limits: SimLimits,
+    /// Event scheduler. Every kind produces the bit-identical schedule.
+    pub scheduler: SchedulerKind,
+    /// Dynamic-topology fault plan the engine consults at dispatch and
+    /// delivery time (drop semantics in [`crate::fault`]). `None` runs on the
+    /// intact topology; an empty plan behaves exactly like `None`.
+    pub faults: Option<&'a FaultPlan>,
+    /// Record the [`DeliveryTrace`] the happens-before checker consumes into
+    /// [`AsyncReport::trace`]. Tracing only appends to a side buffer, so the
+    /// schedule is bit-identical with it on or off. Fault-dropped deliveries
+    /// leave no record (causally, they never happened).
+    pub trace: bool,
+    /// Recycled engine state ([`crate::recycle`]) for the timing wheel; the
+    /// heap and the sharded engine ignore it. The schedule is bit-identical
+    /// to a cold run's.
+    pub slab: Option<&'a mut EngineSlab<M>>,
+    /// Worker-thread policy of the sharded engine ([`ThreadMode`]); the
+    /// serial schedulers ignore it.
+    pub threads: ThreadMode,
+    /// Whether the sharded engine batches windows of causality-free ticks
+    /// into one wide phase ([`crate::sharded`]); the serial schedulers ignore
+    /// it. Schedules are bit-identical either way.
+    pub batching: bool,
+}
+
+// Manual impl: `derive` would demand `M: Default`.
+impl<M> Default for RunOptions<'_, M> {
+    fn default() -> Self {
+        RunOptions {
+            limits: SimLimits::default(),
+            scheduler: SchedulerKind::default(),
+            faults: None,
+            trace: false,
+            slab: None,
+            threads: ThreadMode::default(),
+            batching: true,
+        }
+    }
+}
+
+/// Runs an asynchronous protocol on `graph` under the delay adversary `delay`:
+/// the one entry point into every engine. `make` constructs the per-node
+/// protocol instance; `opts` picks the scheduler and the optional knobs.
 ///
-/// `make` constructs the per-node protocol instance.
+/// Every scheduler, thread mode and batching mode, with or without a trace or
+/// a recycled slab, produces the bit-identical execution (pinned by
+/// `tests/scheduler_equiv.rs`, `tests/threaded_equiv.rs` and
+/// `tests/engine_reuse.rs`). The `Send` bounds let
+/// [`SchedulerKind::Sharded`] hand shards to worker threads; a protocol whose
+/// instances share state can keep every activation on the calling thread
+/// with [`ThreadMode::Off`].
 ///
 /// # Errors
 ///
@@ -461,47 +523,37 @@ pub fn run_async<P, F>(
     graph: &Graph,
     delay: DelayModel,
     make: F,
-    limits: SimLimits,
+    mut opts: RunOptions<'_, P::Message>,
 ) -> Result<AsyncReport<P>, SimError>
 where
-    P: Protocol,
+    P: Protocol + Send,
+    P::Message: Send,
     F: FnMut(NodeId) -> P,
 {
-    run_async_with(graph, delay, make, limits, SchedulerKind::default())
+    let slab = opts.slab.take();
+    match opts.scheduler {
+        SchedulerKind::TimingWheel => match slab {
+            Some(slab) => slab.run(graph, delay, make, &opts),
+            None => {
+                let wheel = TimingWheel::new(delay.max_delay_ticks());
+                run_engine_parts(graph, delay, make, &opts, wheel, &mut EngineParts::new(graph))
+                    .map(|(report, _)| report)
+            }
+        },
+        SchedulerKind::BinaryHeap => {
+            let heap = HeapScheduler::new();
+            run_engine_parts(graph, delay, make, &opts, heap, &mut EngineParts::new(graph))
+                .map(|(report, _)| report)
+        }
+        SchedulerKind::Sharded { shards, workers } => {
+            crate::sharded::run_sharded(graph, delay, make, &opts, shards, workers)
+        }
+    }
 }
 
-/// [`run_async`] with an explicit event-scheduler choice. All kinds produce
-/// bit-identical runs (asserted by `tests/scheduler_equiv.rs`); the heap is kept
-/// as the executable reference for the timing wheel.
-///
-/// [`SchedulerKind::Sharded`] runs the sharded engine *sequentially* here (one
-/// coordinator, no worker threads), because this signature does not require
-/// `P: Send`. The execution is bit-identical either way; to actually spawn
-/// worker threads use [`crate::sharded::run_async_sharded`] (or drive it through
-/// `Session::scheduler`, whose protocols are `Send`).
-///
-/// # Errors
-///
-/// Same as [`run_async`].
-pub fn run_async_with<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-    scheduler: SchedulerKind,
-) -> Result<AsyncReport<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    run_async_faulted(graph, delay, None, make, limits, scheduler)
-}
-
-/// [`run_async_with`] under a [`FaultPlan`]: the engine consults the compiled
-/// fault state at dispatch and delivery time (drop semantics in
-/// [`crate::fault`]). `None` behaves exactly like [`run_async_with`]. Like it,
-/// [`SchedulerKind::Sharded`] runs sequentially here; use
-/// [`crate::sharded::run_async_sharded_faulted_with`] for worker threads.
+/// [`run_async`] with a fault plan, limits and scheduler as positional
+/// arguments, kept for the benchmark package (`perfbench/`). Sharded kinds
+/// run on the calling thread ([`ThreadMode::Off`]).
 ///
 /// # Errors
 ///
@@ -515,129 +567,32 @@ pub fn run_async_faulted<P, F>(
     scheduler: SchedulerKind,
 ) -> Result<AsyncReport<P>, SimError>
 where
-    P: Protocol,
+    P: Protocol + Send,
+    P::Message: Send,
     F: FnMut(NodeId) -> P,
 {
-    let state = faults.map(|plan| FaultState::new(graph, plan));
-    match scheduler {
-        SchedulerKind::TimingWheel => {
-            let horizon = delay.max_delay_ticks();
-            run_engine(graph, delay, make, limits, TimingWheel::new(horizon), None, state)
-                .map(|(report, _)| report)
-        }
-        SchedulerKind::BinaryHeap => {
-            run_engine(graph, delay, make, limits, HeapScheduler::new(), None, state)
-                .map(|(report, _)| report)
-        }
-        SchedulerKind::Sharded { shards, workers: _ } => {
-            crate::sharded::run_sequential_faulted(graph, delay, faults, make, limits, shards)
-        }
-    }
+    let opts =
+        RunOptions { limits, scheduler, faults, threads: ThreadMode::Off, ..Default::default() };
+    run_async(graph, delay, make, opts)
 }
 
-/// [`run_async_with`] with delivery tracing enabled: returns the report plus
-/// the [`DeliveryTrace`] the happens-before checker (`ds-verify`) consumes.
-///
-/// The traced run is **bit-identical** to the untraced one — tracing only
-/// appends to a side buffer and never draws a sequence number or touches a
-/// queue (asserted by the module tests and `tests/happens_before.rs`).
-/// [`SchedulerKind::Sharded`] runs sequentially here, like [`run_async_with`];
-/// use [`crate::sharded::run_async_sharded_traced_with`] for worker threads.
-///
-/// # Errors
-///
-/// Same as [`run_async`].
-pub fn run_async_traced<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-    scheduler: SchedulerKind,
-) -> Result<(AsyncReport<P>, DeliveryTrace), SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    run_async_faulted_traced(graph, delay, None, make, limits, scheduler)
-}
-
-/// [`run_async_faulted`] with delivery tracing enabled. Dropped deliveries
-/// leave no trace record (they never happened, causally), so the
-/// happens-before checker works unchanged under churn.
-///
-/// # Errors
-///
-/// Same as [`run_async`].
-pub fn run_async_faulted_traced<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    scheduler: SchedulerKind,
-) -> Result<(AsyncReport<P>, DeliveryTrace), SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    let state = faults.map(|plan| FaultState::new(graph, plan));
-    let trace = Some(TraceState::new(1));
-    let (report, trace) = match scheduler {
-        SchedulerKind::TimingWheel => {
-            let horizon = delay.max_delay_ticks();
-            run_engine(graph, delay, make, limits, TimingWheel::new(horizon), trace, state)?
-        }
-        SchedulerKind::BinaryHeap => {
-            run_engine(graph, delay, make, limits, HeapScheduler::new(), trace, state)?
-        }
-        SchedulerKind::Sharded { shards, workers: _ } => {
-            return crate::sharded::run_sequential_faulted_traced(
-                graph, delay, faults, make, limits, shards,
-            );
-        }
-    };
-    Ok((report, trace.expect("tracing was enabled")))
-}
-
-fn run_engine<P, F, S>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-    sched: S,
-    trace: Option<TraceState>,
-    faults: Option<FaultState>,
-) -> Result<(AsyncReport<P>, Option<DeliveryTrace>), SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-    S: EventScheduler<EvRef>,
-{
-    let mut parts = EngineParts::default();
-    parts.adopt(graph);
-    run_engine_parts(graph, delay, make, limits, sched, trace, faults, &mut parts)
-        .map(|(report, trace, _sched)| (report, trace))
-}
-
-/// [`run_engine`] over caller-owned [`EngineParts`]: the engine's recyclable
-/// state is moved out of `parts` for the run and moved back on success (with
-/// the scheduler returned for the same reason). On error the parts are left
-/// in their default (empty) state — a failed run's transient state is
-/// discarded wholesale rather than cleaned, so recycling degrades to cold
-/// allocation instead of risking a poisoned slab.
+/// The serial engine over caller-owned [`EngineParts`]: the engine's
+/// recyclable state is moved out of `parts` for the run and moved back on
+/// success (with the scheduler returned for the same reason). On error the
+/// parts are left in their default (empty) state — a failed run's transient
+/// state is discarded wholesale rather than cleaned, so recycling degrades to
+/// cold allocation instead of risking a poisoned slab. Reads `limits`,
+/// `faults` and `trace` from `opts`.
 ///
 /// The caller must have called [`EngineParts::adopt`] for `graph` first.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_engine_parts<P, F, S>(
     graph: &Graph,
     delay: DelayModel,
     mut make: F,
-    limits: SimLimits,
+    opts: &RunOptions<'_, P::Message>,
     sched: S,
-    trace: Option<TraceState>,
-    faults: Option<FaultState>,
     parts: &mut EngineParts<P::Message>,
-) -> Result<(AsyncReport<P>, Option<DeliveryTrace>, S), SimError>
+) -> Result<(AsyncReport<P>, S), SimError>
 where
     P: Protocol,
     F: FnMut(NodeId) -> P,
@@ -655,15 +610,15 @@ where
         now: 0,
         seq: 0,
         deliveries: 0,
-        max_events: limits.max_events,
+        max_events: opts.limits.max_events,
         metrics: RunMetrics::default(),
         done_flags: std::mem::take(&mut parts.done_flags),
         done_count: 0,
         time_all_done: None,
         outbox_pool: std::mem::take(&mut parts.outbox_pool),
         touched: std::mem::take(&mut parts.touched),
-        trace,
-        faults,
+        trace: opts.trace.then(|| TraceState::new(1)),
+        faults: opts.faults.map(|plan| FaultState::new(graph, plan)),
         dropped: 0,
         max_batch: 0,
     };
@@ -840,15 +795,13 @@ where
     // Quiescence means no event is scheduled and no link queue is non-empty
     // (a queued message always has an ack or drop pending to release it), so
     // every arena handle must have been taken back — the engine-level leak
-    // check behind the unit-level one in `arena::tests`. The recycled entry
-    // point promotes this into a hard assertion on every run
-    // ([`crate::recycle::run_async_recycled`]).
+    // check behind the unit-level one in `arena::tests`. Runs through an
+    // [`EngineSlab`] promote this into a hard assertion.
     debug_assert_eq!(engine.arena.live(), 0, "a finished run must return every arena handle");
 
     engine.metrics.time_to_output = engine.time_all_done.map(|t| t as f64 / TICKS_PER_UNIT as f64);
     engine.metrics.time_to_quiescence = engine.now as f64 / TICKS_PER_UNIT as f64;
 
-    let trace = engine.trace.map(TraceState::finish);
     let report = AsyncReport {
         metrics: engine.metrics,
         nodes: engine.nodes,
@@ -860,6 +813,7 @@ where
         pool_dispatches: 0,
         dropped_events: engine.dropped,
         fault_transitions: engine.faults.as_ref().map_or(0, FaultState::transitions),
+        trace: engine.trace.map(TraceState::finish),
     };
     // Hand the recyclable halves back for the next run.
     parts.links = engine.links;
@@ -867,7 +821,7 @@ where
     parts.done_flags = engine.done_flags;
     parts.outbox_pool = engine.outbox_pool;
     parts.touched = engine.touched;
-    Ok((report, trace, engine.sched))
+    Ok((report, engine.sched))
 }
 
 #[cfg(test)]
@@ -923,7 +877,7 @@ mod tests {
         let g = Graph::grid(4, 4);
         for delay in DelayModel::standard_suite(5) {
             let report =
-                run_async(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+                run_async(&g, delay.clone(), |v| Flood::new(&g, v), RunOptions::default()).unwrap();
             assert!(
                 report.nodes.iter().all(|n| n.hops.is_some()),
                 "all nodes reached under {delay:?}"
@@ -938,7 +892,7 @@ mod tests {
     fn uniform_delay_flood_time_matches_distance_bound() {
         let g = Graph::path(8);
         let report =
-            run_async(&g, DelayModel::uniform(), |v| Flood::new(&g, v), SimLimits::default())
+            run_async(&g, DelayModel::uniform(), |v| Flood::new(&g, v), RunOptions::default())
                 .unwrap();
         // Under uniform unit delays every hop costs exactly one unit, so the last
         // node (distance 7) is done at time 7.
@@ -953,7 +907,7 @@ mod tests {
         // This demonstrates why a synchronizer is needed at all.
         let g = Graph::cycle(8);
         let report =
-            run_async(&g, DelayModel::slow_cut(4), |v| Flood::new(&g, v), SimLimits::default())
+            run_async(&g, DelayModel::slow_cut(4), |v| Flood::new(&g, v), RunOptions::default())
                 .unwrap();
         let hops: Vec<u64> = report.nodes.iter().map(|n| n.hops.unwrap()).collect();
         let true_dist = ds_graph::metrics::bfs_distances(&g, NodeId(0));
@@ -991,7 +945,7 @@ mod tests {
             &g,
             DelayModel::uniform(),
             |me| Burst { me, received: 0 },
-            SimLimits::default(),
+            RunOptions::default(),
         )
         .unwrap();
         // Each of the 5 messages must wait for the previous message's ack: delivery i
@@ -1031,7 +985,7 @@ mod tests {
             &g,
             DelayModel::uniform(),
             |me| Prio { me, order: Vec::new() },
-            SimLimits::default(),
+            RunOptions::default(),
         )
         .unwrap();
         // All three messages are queued before the link transmits, so they are
@@ -1048,12 +1002,11 @@ mod tests {
         let g = Graph::grid(6, 6);
         let delay = DelayModel::outage(11, 4, 2);
         let run = |scheduler: SchedulerKind| {
-            let report = run_async_with(
+            let report = run_async(
                 &g,
                 delay.clone(),
                 |v| Flood::new(&g, v),
-                SimLimits::default(),
-                scheduler,
+                RunOptions { scheduler, ..RunOptions::default() },
             )
             .expect("outage run");
             let hops: Vec<Option<u64>> = report.nodes.iter().map(|n| n.hops).collect();
@@ -1080,7 +1033,7 @@ mod tests {
         let g = Graph::grid(4, 4);
         for delay in DelayModel::standard_suite(3) {
             let report =
-                run_async(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+                run_async(&g, delay.clone(), |v| Flood::new(&g, v), RunOptions::default()).unwrap();
             assert_eq!(report.overflow_events, 0, "{delay:?} stayed within one τ");
         }
     }
@@ -1092,12 +1045,11 @@ mod tests {
         // consumers can rely on "0 means the feature was off or inapplicable".
         let g = Graph::grid(4, 4);
         for scheduler in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-            let report = run_async_with(
+            let report = run_async(
                 &g,
                 DelayModel::uniform(),
                 |v| Flood::new(&g, v),
-                SimLimits::default(),
-                scheduler,
+                RunOptions { scheduler, ..RunOptions::default() },
             )
             .unwrap();
             assert_eq!(report.batched_ticks, 0, "{scheduler:?}");
@@ -1114,13 +1066,15 @@ mod tests {
         // the first hop mid-flight, so nodes 1 and 2 never learn anything ...
         let g = Graph::path(3);
         let cut = FaultPlan::new().link_down(1, NodeId(0), NodeId(1));
-        let report = run_async_faulted(
+        let report = run_async(
             &g,
             DelayModel::uniform(),
-            Some(&cut),
             |v| Flood::new(&g, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
+            RunOptions {
+                faults: Some(&cut),
+                scheduler: SchedulerKind::TimingWheel,
+                ..RunOptions::default()
+            },
         )
         .unwrap();
         assert_eq!(report.nodes[1].hops, None);
@@ -1134,13 +1088,15 @@ mod tests {
         // for good, but traffic injected after recovery flows again.
         let heal =
             FaultPlan::new().link_down(1, NodeId(1), NodeId(2)).link_up(2500, NodeId(1), NodeId(2));
-        let report = run_async_faulted(
+        let report = run_async(
             &g,
             DelayModel::uniform(),
-            Some(&heal),
             |v| Flood::new(&g, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
+            RunOptions {
+                faults: Some(&heal),
+                scheduler: SchedulerKind::TimingWheel,
+                ..RunOptions::default()
+            },
         )
         .unwrap();
         // Node 1 still hears from node 0 (that link was never cut)...
@@ -1155,13 +1111,15 @@ mod tests {
         use crate::fault::FaultPlan;
         let g = Graph::path(3);
         let plan = FaultPlan::new().node_crash(0, NodeId(0));
-        let report = run_async_faulted(
+        let report = run_async(
             &g,
             DelayModel::uniform(),
-            Some(&plan),
             |v| Flood::new(&g, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
+            RunOptions {
+                faults: Some(&plan),
+                scheduler: SchedulerKind::TimingWheel,
+                ..RunOptions::default()
+            },
         )
         .unwrap();
         // The source never ran `on_start`: nothing was ever sent.
@@ -1176,15 +1134,17 @@ mod tests {
         let g = Graph::grid(4, 4);
         for delay in DelayModel::standard_suite(9) {
             let plain =
-                run_async(&g, delay.clone(), |v| Flood::new(&g, v), SimLimits::default()).unwrap();
+                run_async(&g, delay.clone(), |v| Flood::new(&g, v), RunOptions::default()).unwrap();
             let empty = FaultPlan::new();
-            let faulted = run_async_faulted(
+            let faulted = run_async(
                 &g,
                 delay.clone(),
-                Some(&empty),
                 |v| Flood::new(&g, v),
-                SimLimits::default(),
-                SchedulerKind::TimingWheel,
+                RunOptions {
+                    faults: Some(&empty),
+                    scheduler: SchedulerKind::TimingWheel,
+                    ..RunOptions::default()
+                },
             )
             .unwrap();
             let plain_hops: Vec<_> = plain.nodes.iter().map(|n| n.hops).collect();
@@ -1220,7 +1180,10 @@ mod tests {
             &g,
             DelayModel::uniform(),
             |me| PingPong { me },
-            SimLimits { max_events: 100, ..SimLimits::default() },
+            RunOptions {
+                limits: SimLimits { max_events: 100, ..SimLimits::default() },
+                ..RunOptions::default()
+            },
         )
         .unwrap_err();
         assert_eq!(err, SimError::EventLimitExceeded { limit: 100 });
@@ -1245,7 +1208,7 @@ mod tests {
             }
         }
         let g = Graph::path(3);
-        let err = run_async(&g, DelayModel::uniform(), |me| Bad { me }, SimLimits::default())
+        let err = run_async(&g, DelayModel::uniform(), |me| Bad { me }, RunOptions::default())
             .unwrap_err();
         assert_eq!(err, SimError::NotNeighbor { from: NodeId(0), to: NodeId(2) });
     }

@@ -21,10 +21,12 @@
 //!   a free-list payload slab behind `u32` handles plus the struct-of-arrays
 //!   batch one tick's due events are grouped into for batch-at-a-time
 //!   delivery,
-//! * [`async_engine`] runs an asynchronous protocol under a configurable
-//!   [`delay::DelayModel`], enforcing the acknowledgment discipline of Appendix B
-//!   (one un-acknowledged message per link) and the lowest-stage-first scheduling of
-//!   Lemma 2.5 / Corollary 2.3,
+//! * [`async_engine`] holds [`run_async`], the one entry point into every
+//!   asynchronous engine (scheduler, fault plan, trace, recycled slab and
+//!   thread policy are fields of [`RunOptions`]), and the serial engine that
+//!   runs a protocol under a configurable [`delay::DelayModel`], enforcing the
+//!   acknowledgment discipline of Appendix B (one un-acknowledged message per
+//!   link) and the lowest-stage-first scheduling of Lemma 2.5 / Corollary 2.3,
 //! * [`fault`] makes the topology dynamic: a deterministic, tick-stamped
 //!   [`FaultPlan`] of link churn and crash-stop node failures that every engine
 //!   consults at dispatch and delivery time,
@@ -66,20 +68,16 @@ pub mod sync_engine;
 pub mod trace;
 
 pub use async_engine::{
-    run_async, run_async_faulted, run_async_faulted_traced, run_async_traced, run_async_with,
-    AsyncReport, SimError, SimLimits,
+    run_async, run_async_faulted, AsyncReport, RunOptions, SimError, SimLimits,
 };
 pub use delay::DelayModel;
 pub use event_driven::{EventDriven, PulseCtx};
 pub use fault::{FaultEvent, FaultPlan, FaultState};
 pub use metrics::{MessageClass, RunMetrics};
 pub use protocol::{Ctx, Protocol};
-pub use recycle::{run_async_recycled, EngineSlab, SlabBank};
+pub use recycle::{EngineSlab, SlabBank};
 pub use scheduler::SchedulerKind;
-pub use sharded::{
-    run_async_sharded, run_async_sharded_faulted_traced_with, run_async_sharded_faulted_with,
-    run_async_sharded_traced_with, run_async_sharded_with, ShardedOptions, ThreadMode,
-};
+pub use sharded::{run_async_sharded_faulted_with, ShardedOptions, ThreadMode};
 pub use sync_engine::{run_sync, SyncReport};
 pub use trace::{DeliveryRecord, DeliveryTrace};
 

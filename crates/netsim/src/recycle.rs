@@ -8,8 +8,8 @@
 //! quiescence no event is scheduled, no link holds queued or in-flight
 //! messages, and every arena handle has been returned (the engine asserts
 //! this). [`EngineSlab`] keeps those allocations between runs, and
-//! [`run_async_recycled`] reshapes them for the next run's graph instead of
-//! building them cold.
+//! [`crate::run_async`] with [`RunOptions::slab`] set reshapes them for the
+//! next run's graph instead of building them cold.
 //!
 //! # Why recycling cannot change a schedule
 //!
@@ -33,9 +33,8 @@
 //! use. Correctness never depends on reuse.
 
 use crate::arena::EvRef;
-use crate::async_engine::{run_engine_parts, AsyncReport, EngineParts, SimError, SimLimits};
+use crate::async_engine::{run_engine_parts, AsyncReport, EngineParts, RunOptions, SimError};
 use crate::delay::DelayModel;
-use crate::fault::{FaultPlan, FaultState};
 use crate::protocol::Protocol;
 use crate::scheduler::TimingWheel;
 use ds_graph::{Graph, NodeId};
@@ -75,8 +74,8 @@ impl<M> EngineSlab<M> {
     /// `debug_assert` to a test-visible check: the slab holds no transient
     /// state — wheel empty (or absent), every link idle, every arena handle
     /// returned. Holds before the first run, after every successful run, and
-    /// after a discarded error run; [`run_async_recycled`] asserts it on
-    /// every completion and [`SlabBank::check_in`] refuses a slab that
+    /// after a discarded error run; every run through the slab asserts it on
+    /// completion and [`SlabBank::check_in`] refuses a slab that
     /// violates it.
     pub fn is_clean(&self) -> bool {
         self.wheel.as_ref().is_none_or(|(_, w)| w.is_empty()) && self.parts.is_clean()
@@ -93,6 +92,35 @@ impl<M> EngineSlab<M> {
             _ => TimingWheel::new(horizon),
         }
     }
+
+    /// A [`TimingWheel`] run over this slab's recycled state (the path
+    /// [`crate::run_async`] takes when [`RunOptions::slab`] is set). Besides
+    /// the reset contract above, the run *hard*-asserts (not
+    /// `debug_assert`s) that it returned every arena handle and drained the
+    /// wheel, since a leak here would poison the next run through the slab.
+    /// On success the slab keeps the run's allocations; on error it discards
+    /// them (see the module docs).
+    pub(crate) fn run<P, F>(
+        &mut self,
+        graph: &Graph,
+        delay: DelayModel,
+        make: F,
+        opts: &RunOptions<'_, M>,
+    ) -> Result<AsyncReport<P>, SimError>
+    where
+        P: Protocol<Message = M>,
+        F: FnMut(NodeId) -> P,
+    {
+        let horizon = delay.max_delay_ticks();
+        let wheel = self.take_wheel(horizon);
+        self.parts.adopt(graph);
+        let (report, wheel) = run_engine_parts(graph, delay, make, opts, wheel, &mut self.parts)?;
+        assert!(wheel.is_empty(), "a finished run must drain its timing wheel");
+        assert!(self.parts.is_clean(), "a finished run must return every arena handle");
+        self.wheel = Some((horizon, wheel));
+        self.runs += 1;
+        Ok(report)
+    }
 }
 
 impl<M> Default for EngineSlab<M> {
@@ -108,44 +136,6 @@ impl<M> fmt::Debug for EngineSlab<M> {
             .field("clean", &self.is_clean())
             .finish()
     }
-}
-
-/// [`crate::run_async_faulted`] on the [`TimingWheel`] scheduler, over
-/// recycled engine state. The schedule is bit-identical to the cold entry
-/// points' — the reset contract above — and the run additionally *hard*-
-/// asserts (not `debug_assert`s) that it returned every arena handle and
-/// drained the wheel, since a leak here would poison the next run through
-/// the slab.
-///
-/// On success the slab retains the run's allocations for the next call; on
-/// error it discards them (see the module docs).
-///
-/// # Errors
-///
-/// Same as [`crate::run_async`].
-pub fn run_async_recycled<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    slab: &mut EngineSlab<P::Message>,
-) -> Result<AsyncReport<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    let state = faults.map(|plan| FaultState::new(graph, plan));
-    let horizon = delay.max_delay_ticks();
-    let wheel = slab.take_wheel(horizon);
-    slab.parts.adopt(graph);
-    let (report, _trace, wheel) =
-        run_engine_parts(graph, delay, make, limits, wheel, None, state, &mut slab.parts)?;
-    assert!(wheel.is_empty(), "a finished run must drain its timing wheel");
-    assert!(slab.parts.is_clean(), "a finished run must return every arena handle");
-    slab.wheel = Some((horizon, wheel));
-    slab.runs += 1;
-    Ok(report)
 }
 
 /// A shared, thread-safe pool of idle [`EngineSlab`]s, keyed by message type.
@@ -240,7 +230,7 @@ impl fmt::Debug for SlabBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_engine::run_async;
+    use crate::async_engine::{run_async, SimLimits};
     use crate::protocol::Ctx;
     use ds_graph::Graph;
 
@@ -295,16 +285,18 @@ mod tests {
         let mut slab = EngineSlab::new();
         for delay in DelayModel::standard_suite(7) {
             for graph in &graphs {
-                let cold =
-                    run_async(graph, delay.clone(), |v| Flood::new(graph, v), SimLimits::default())
-                        .unwrap();
-                let warm = run_async_recycled(
+                let cold = run_async(
                     graph,
                     delay.clone(),
-                    None,
                     |v| Flood::new(graph, v),
-                    SimLimits::default(),
-                    &mut slab,
+                    RunOptions::default(),
+                )
+                .unwrap();
+                let warm = run_async(
+                    graph,
+                    delay.clone(),
+                    |v| Flood::new(graph, v),
+                    RunOptions { slab: Some(&mut slab), ..RunOptions::default() },
                 )
                 .unwrap();
                 assert_eq!(hops(&cold), hops(&warm));
@@ -322,26 +314,26 @@ mod tests {
         let graph = Graph::grid(8, 8);
         let mut slab = EngineSlab::new();
         let tight = SimLimits { max_events: 5, ..SimLimits::default() };
-        let err = run_async_recycled(
+        let err = run_async(
             &graph,
             DelayModel::Uniform,
-            None,
             |v| Flood::new(&graph, v),
-            tight,
-            &mut slab,
+            RunOptions { limits: tight, slab: Some(&mut slab), ..RunOptions::default() },
         );
         assert!(matches!(err, Err(SimError::EventLimitExceeded { .. })));
         assert!(slab.is_clean(), "discarded error state must leave the slab clean");
-        let cold =
-            run_async(&graph, DelayModel::Uniform, |v| Flood::new(&graph, v), SimLimits::default())
-                .unwrap();
-        let warm = run_async_recycled(
+        let cold = run_async(
             &graph,
             DelayModel::Uniform,
-            None,
             |v| Flood::new(&graph, v),
-            SimLimits::default(),
-            &mut slab,
+            RunOptions::default(),
+        )
+        .unwrap();
+        let warm = run_async(
+            &graph,
+            DelayModel::Uniform,
+            |v| Flood::new(&graph, v),
+            RunOptions { slab: Some(&mut slab), ..RunOptions::default() },
         )
         .unwrap();
         assert_eq!(hops(&cold), hops(&warm));

@@ -38,7 +38,7 @@ use crate::bitset;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Which event scheduler [`crate::async_engine::run_async_with`] drives the
+/// Which event scheduler [`crate::run_async`] drives the
 /// simulation with. All kinds produce bit-identical schedules; the wheel is
 /// faster than the heap, and the sharded engine adds parallelism on top of
 /// per-shard wheels (see [`crate::sharded`]).
@@ -86,7 +86,7 @@ impl SchedulerKind {
 /// `T` is the inline payload (the engine stores the link id and the message).
 /// Public so the scheduler microbenchmarks (`exp_sched` in `ds-bench`) can drive
 /// both implementations in isolation; simulation code goes through
-/// [`crate::async_engine::run_async_with`] instead.
+/// [`crate::run_async`] instead.
 pub trait EventScheduler<T> {
     /// Schedules `payload` at absolute tick `at` with global sequence number `seq`.
     ///

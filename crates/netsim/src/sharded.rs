@@ -53,7 +53,7 @@
 //! Because phase 2 draws sequence numbers in exactly the serial order and
 //! phase 1 performs no operation that could observe the difference, the
 //! resulting schedule — every delivery, every delay, every metric — is
-//! bit-identical to [`crate::SchedulerKind::TimingWheel`]'s, for any shard count and
+//! bit-identical to [`SchedulerKind::TimingWheel`]'s, for any shard count and
 //! any thread interleaving (`tests/scheduler_equiv.rs` and
 //! `tests/determinism.rs` pin this across the scenario matrix). The one
 //! observable difference is *intra-tick activation order across different
@@ -111,9 +111,9 @@
 //! Worker threads are `W` **long-lived** threads in a [`crate::pool`]
 //! `WorkerPool`, created once per run; the `K` shards round-robin over them
 //! (shard `s` is pinned to worker `s mod W`, a fixed assignment that cannot
-//! depend on thread timing). The two knobs decouple: pick `shards` for
-//! partition granularity and `workers` for the host's core count
-//! ([`ShardedOptions::workers`]; `0` means one worker per shard). The pool is
+//! depend on thread timing). The two knobs of [`SchedulerKind::Sharded`]
+//! decouple: pick `shards` for partition granularity and `workers` for the
+//! host's core count (`0` means one worker per shard). The pool is
 //! engaged per barrier, and only when the tick — or batched window — carries
 //! enough events to amortize the two channel hops per non-empty shard;
 //! sparser barriers are processed inline by the coordinator.
@@ -127,15 +127,15 @@
 //! batching and hand-off rates observable per run.
 
 use crate::arena::PayloadArena;
-use crate::async_engine::{AsyncReport, LinkState, SimError, SimLimits};
+use crate::async_engine::{run_async, AsyncReport, LinkState, RunOptions, SimError, SimLimits};
 use crate::delay::DelayModel;
 use crate::fault::{FaultPlan, FaultState};
 use crate::metrics::RunMetrics;
 use crate::pool::{PanicPayload, WorkerPool};
 use crate::protocol::{Ctx, Outgoing, Protocol};
 use crate::scheduler::{EventScheduler, TimingWheel};
-use crate::trace::{DeliveryTrace, TraceState};
-use crate::TICKS_PER_UNIT;
+use crate::trace::TraceState;
+use crate::{SchedulerKind, TICKS_PER_UNIT};
 use ds_graph::{DirectedEdgeId, Graph, NodeId};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -165,7 +165,8 @@ pub enum ThreadMode {
     Off,
 }
 
-/// Options for [`run_async_sharded_with`].
+/// The sharded engine's knobs as one value. [`run_async`] takes the same
+/// knobs through [`SchedulerKind::Sharded`] and [`RunOptions`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardedOptions {
     /// Number of shards (clamped to `1..=node_count`).
@@ -192,6 +193,31 @@ impl ShardedOptions {
     pub fn new(shards: usize) -> Self {
         ShardedOptions { shards, workers: 0, threads: ThreadMode::Auto, batching: true }
     }
+}
+
+/// [`run_async`] on the sharded engine with the knobs as a [`ShardedOptions`],
+/// kept for the benchmark package (`perfbench/`).
+///
+/// # Errors
+///
+/// Same as [`run_async`].
+pub fn run_async_sharded_faulted_with<P, F>(
+    graph: &Graph,
+    delay: DelayModel,
+    faults: Option<&FaultPlan>,
+    make: F,
+    limits: SimLimits,
+    opts: ShardedOptions,
+) -> Result<AsyncReport<P>, SimError>
+where
+    P: Protocol + Send,
+    P::Message: Send,
+    F: FnMut(NodeId) -> P,
+{
+    let ShardedOptions { shards, workers, threads, batching } = opts;
+    let scheduler = SchedulerKind::Sharded { shards, workers };
+    let opts = RunOptions { limits, scheduler, faults, threads, batching, ..Default::default() };
+    run_async(graph, delay, make, opts)
 }
 
 // ---------------------------------------------------------------------------
@@ -567,144 +593,32 @@ fn try_inject<P: Protocol>(
 }
 
 // ---------------------------------------------------------------------------
-// Entry points
+// Entry point
 // ---------------------------------------------------------------------------
 
-/// Runs an asynchronous protocol on the sharded engine with `shards` shards
-/// and the [`ThreadMode::Auto`] thread policy. The execution — schedule,
-/// outputs, metrics — is bit-identical to
-/// [`run_async`](crate::async_engine::run_async) on the timing wheel.
-///
-/// # Errors
-///
-/// Same as [`run_async`](crate::async_engine::run_async).
-pub fn run_async_sharded<P, F>(
+/// The sharded engine behind [`run_async`] for [`SchedulerKind::Sharded`]:
+/// resolves `opts.threads` to a worker count, then runs the engine on the
+/// calling thread, shipping phase 1 to a [`WorkerPool`] when there are
+/// workers. The execution is bit-identical for every thread mode. Fault
+/// transitions apply at the same ticks as on the serial engines, and the
+/// trace lives with the coordinator (phase 2 and injection), so workers
+/// never touch it.
+pub(crate) fn run_sharded<P, F>(
     graph: &Graph,
     delay: DelayModel,
     make: F,
-    limits: SimLimits,
+    opts: &RunOptions<'_, P::Message>,
     shards: usize,
+    workers: usize,
 ) -> Result<AsyncReport<P>, SimError>
 where
     P: Protocol + Send,
     P::Message: Send,
     F: FnMut(NodeId) -> P,
 {
-    run_async_sharded_with(graph, delay, make, limits, ShardedOptions::new(shards))
-}
-
-/// [`run_async_sharded`] with an explicit worker-thread policy.
-///
-/// # Errors
-///
-/// Same as [`run_async`](crate::async_engine::run_async).
-pub fn run_async_sharded_with<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-    opts: ShardedOptions,
-) -> Result<AsyncReport<P>, SimError>
-where
-    P: Protocol + Send,
-    P::Message: Send,
-    F: FnMut(NodeId) -> P,
-{
-    run_sharded_inner(graph, delay, None, make, limits, opts, false).map(|(report, _)| report)
-}
-
-/// [`run_async_sharded_with`] under a [`FaultPlan`]: the adversary's link and
-/// node events apply at the exact same ticks as on the serial engines, so the
-/// execution — schedule, outputs, drop counts — stays bit-identical to
-/// [`run_async_faulted`](crate::async_engine::run_async_faulted) for every
-/// shard count, worker count, and batching mode.
-///
-/// # Errors
-///
-/// Same as [`run_async`](crate::async_engine::run_async).
-pub fn run_async_sharded_faulted_with<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    opts: ShardedOptions,
-) -> Result<AsyncReport<P>, SimError>
-where
-    P: Protocol + Send,
-    P::Message: Send,
-    F: FnMut(NodeId) -> P,
-{
-    run_sharded_inner(graph, delay, faults, make, limits, opts, false).map(|(report, _)| report)
-}
-
-/// [`run_async_sharded_with`] with delivery tracing enabled: returns the
-/// report plus the [`DeliveryTrace`] the happens-before checker (`ds-verify`)
-/// consumes. The traced execution is bit-identical to the untraced one —
-/// tracing happens entirely on the coordinator (phase 2 and injection), so
-/// worker threads never touch it.
-///
-/// # Errors
-///
-/// Same as [`run_async`](crate::async_engine::run_async).
-pub fn run_async_sharded_traced_with<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    make: F,
-    limits: SimLimits,
-    opts: ShardedOptions,
-) -> Result<(AsyncReport<P>, DeliveryTrace), SimError>
-where
-    P: Protocol + Send,
-    P::Message: Send,
-    F: FnMut(NodeId) -> P,
-{
-    let (report, trace) = run_sharded_inner(graph, delay, None, make, limits, opts, true)?;
-    Ok((report, trace.expect("tracing was enabled")))
-}
-
-/// [`run_async_sharded_faulted_with`] with delivery tracing enabled. Dropped
-/// deliveries leave no trace record — only the schedule draw of the doomed
-/// delivery appears, exactly as on the serial engine.
-///
-/// # Errors
-///
-/// Same as [`run_async`](crate::async_engine::run_async).
-pub fn run_async_sharded_faulted_traced_with<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    opts: ShardedOptions,
-) -> Result<(AsyncReport<P>, DeliveryTrace), SimError>
-where
-    P: Protocol + Send,
-    P::Message: Send,
-    F: FnMut(NodeId) -> P,
-{
-    let (report, trace) = run_sharded_inner(graph, delay, faults, make, limits, opts, true)?;
-    Ok((report, trace.expect("tracing was enabled")))
-}
-
-fn run_sharded_inner<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    opts: ShardedOptions,
-    traced: bool,
-) -> Result<(AsyncReport<P>, Option<DeliveryTrace>), SimError>
-where
-    P: Protocol + Send,
-    P::Message: Send,
-    F: FnMut(NodeId) -> P,
-{
-    let k = opts.shards.clamp(1, graph.node_count().max(1));
-    let trace = traced.then(|| TraceState::new(k as u32));
+    let k = shards.clamp(1, graph.node_count().max(1));
     // `workers == 0` requests the pre-pool coupling: one worker per shard.
-    let requested = if opts.workers == 0 { k } else { opts.workers };
+    let requested = if workers == 0 { k } else { workers };
     let workers = match opts.threads {
         ThreadMode::Off => 0,
         ThreadMode::ForceOn => {
@@ -727,87 +641,30 @@ where
             }
         }
     };
-    let fstate = faults.map(|plan| FaultState::new(graph, plan));
     if workers == 0 {
-        return run_core(graph, delay, make, limits, k, opts.batching, None, trace, fstate);
+        return run_core(graph, delay, make, opts, k, None);
     }
     WorkerPool::run(
         workers,
         |w: &mut ShardWork<P>| phase1(w),
-        |pool| run_core(graph, delay, make, limits, k, opts.batching, Some(pool), trace, fstate),
+        |pool| run_core(graph, delay, make, opts, k, Some(pool)),
     )
-}
-
-/// Sequential sharded run, used by
-/// [`run_async_faulted`](crate::async_engine::run_async_faulted) for
-/// [`crate::SchedulerKind::Sharded`]: no `Send` bound, no threads, identical
-/// execution.
-pub(crate) fn run_sequential_faulted<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    shards: usize,
-) -> Result<AsyncReport<P>, SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    let k = shards.clamp(1, graph.node_count().max(1));
-    let fstate = faults.map(|plan| FaultState::new(graph, plan));
-    run_core(graph, delay, make, limits, k, true, None, None, fstate).map(|(report, _)| report)
-}
-
-/// Sequential sharded run with tracing, used by
-/// [`run_async_faulted_traced`](crate::async_engine::run_async_faulted_traced)
-/// for [`crate::SchedulerKind::Sharded`].
-pub(crate) fn run_sequential_faulted_traced<P, F>(
-    graph: &Graph,
-    delay: DelayModel,
-    faults: Option<&FaultPlan>,
-    make: F,
-    limits: SimLimits,
-    shards: usize,
-) -> Result<(AsyncReport<P>, DeliveryTrace), SimError>
-where
-    P: Protocol,
-    F: FnMut(NodeId) -> P,
-{
-    let k = shards.clamp(1, graph.node_count().max(1));
-    let fstate = faults.map(|plan| FaultState::new(graph, plan));
-    let (report, trace) = run_core(
-        graph,
-        delay,
-        make,
-        limits,
-        k,
-        true,
-        None,
-        Some(TraceState::new(k as u32)),
-        fstate,
-    )?;
-    Ok((report, trace.expect("tracing was enabled")))
 }
 
 // ---------------------------------------------------------------------------
 // The engine
 // ---------------------------------------------------------------------------
 
-// Every entry point funnels here with its full knob set; bundling the knobs
-// into a struct would only move the argument list one call deeper.
-#[allow(clippy::too_many_arguments)]
+/// The engine proper, over `k` shards; reads `limits`, `batching`, `faults`
+/// and `trace` from `opts`.
 fn run_core<P, F>(
     graph: &Graph,
     delay: DelayModel,
     mut make: F,
-    limits: SimLimits,
+    opts: &RunOptions<'_, P::Message>,
     k: usize,
-    batching: bool,
     mut pool: Option<&mut WorkerPool<ShardWork<P>>>,
-    trace: Option<TraceState>,
-    faults: Option<FaultState>,
-) -> Result<(AsyncReport<P>, Option<DeliveryTrace>), SimError>
+) -> Result<AsyncReport<P>, SimError>
 where
     P: Protocol,
     F: FnMut(NodeId) -> P,
@@ -846,7 +703,7 @@ where
         now: 0,
         seq: 0,
         deliveries: 0,
-        max_events: limits.max_events,
+        max_events: opts.limits.max_events,
         metrics: RunMetrics::default(),
         done_count: 0,
         time_all_done: None,
@@ -854,8 +711,8 @@ where
         pool_dispatches: 0,
         max_batch: 0,
         touched: Vec::new(),
-        trace,
-        faults,
+        trace: opts.trace.then(|| TraceState::new(k as u32)),
+        faults: opts.faults.map(|plan| FaultState::new(graph, plan)),
         dropped: 0,
     };
     // The static part of a window is bounded by the delay floor (see the
@@ -927,7 +784,7 @@ where
         // itself is pushed explicitly — it may be overflow-only.
         window.clear();
         window.push(t0);
-        if batching {
+        if opts.batching {
             let mut end = u64::MAX;
             for wheel in &sh.wheels {
                 end = wheel.window_cap(end);
@@ -1262,29 +1119,25 @@ where
         peak_live_handles += w.payloads.peak_live() as u64;
         arena_bytes += w.payloads.bytes() as u64;
     }
-    Ok((
-        AsyncReport {
-            metrics: g.metrics,
-            nodes: works.into_iter().flat_map(|w| w.expect("shard at home").nodes).collect(),
-            overflow_events,
-            peak_live_handles,
-            arena_bytes,
-            max_batch: g.max_batch,
-            batched_ticks: g.batched_ticks,
-            pool_dispatches: g.pool_dispatches,
-            dropped_events: g.dropped,
-            fault_transitions: g.faults.as_ref().map_or(0, FaultState::transitions),
-        },
-        g.trace.map(TraceState::finish),
-    ))
+    Ok(AsyncReport {
+        metrics: g.metrics,
+        nodes: works.into_iter().flat_map(|w| w.expect("shard at home").nodes).collect(),
+        overflow_events,
+        peak_live_handles,
+        arena_bytes,
+        max_batch: g.max_batch,
+        batched_ticks: g.batched_ticks,
+        pool_dispatches: g.pool_dispatches,
+        dropped_events: g.dropped,
+        fault_transitions: g.faults.as_ref().map_or(0, FaultState::transitions),
+        trace: g.trace.map(TraceState::finish),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::async_engine::run_async_with;
     use crate::metrics::MessageClass;
-    use crate::SchedulerKind;
 
     /// Chatty flood recording, per node, the exact arrival stream `(from, msg)`
     /// — the node-local view of the schedule. Mixed priorities exercise the
@@ -1332,12 +1185,11 @@ mod tests {
     type NodeView = (Vec<Vec<(NodeId, u64)>>, RunMetrics, u64);
 
     fn wheel_run(graph: &Graph, delay: &DelayModel) -> NodeView {
-        let report = run_async_with(
+        let report = run_async(
             graph,
             delay.clone(),
             |v| Chatter::new(graph, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
+            RunOptions { scheduler: SchedulerKind::TimingWheel, ..RunOptions::default() },
         )
         .expect("wheel run");
         (
@@ -1347,15 +1199,9 @@ mod tests {
         )
     }
 
-    fn sharded_run(graph: &Graph, delay: &DelayModel, opts: ShardedOptions) -> NodeView {
-        let report = run_async_sharded_with(
-            graph,
-            delay.clone(),
-            |v| Chatter::new(graph, v),
-            SimLimits::default(),
-            opts,
-        )
-        .expect("sharded run");
+    fn sharded_run(graph: &Graph, delay: &DelayModel, opts: RunOptions<'_, u64>) -> NodeView {
+        let report =
+            run_async(graph, delay.clone(), |v| Chatter::new(graph, v), opts).expect("sharded run");
         (
             report.nodes.into_iter().map(|n| n.arrivals).collect(),
             report.metrics,
@@ -1378,10 +1224,11 @@ mod tests {
                     let got = sharded_run(
                         &graph,
                         &delay,
-                        ShardedOptions {
+                        RunOptions {
+                            scheduler: SchedulerKind::Sharded { shards, workers: 0 },
                             threads: ThreadMode::Off,
                             batching,
-                            ..ShardedOptions::new(shards)
+                            ..RunOptions::default()
                         },
                     );
                     assert_eq!(
@@ -1405,13 +1252,15 @@ mod tests {
             .node_crash(TICKS_PER_UNIT / 2, NodeId(5))
             .node_recover(3 * TICKS_PER_UNIT, NodeId(5));
         for delay in [DelayModel::uniform(), DelayModel::jitter(3), DelayModel::outage(7, 5, 2)] {
-            let reference = crate::async_engine::run_async_faulted(
+            let reference = run_async(
                 &graph,
                 delay.clone(),
-                Some(&plan),
                 |v| Chatter::new(&graph, v),
-                SimLimits::default(),
-                SchedulerKind::TimingWheel,
+                RunOptions {
+                    faults: Some(&plan),
+                    scheduler: SchedulerKind::TimingWheel,
+                    ..RunOptions::default()
+                },
             )
             .expect("faulted wheel run");
             assert!(reference.fault_transitions > 0, "the plan must actually fire");
@@ -1424,16 +1273,16 @@ mod tests {
             );
             for shards in [1, 2, 4, 7] {
                 for batching in [true, false] {
-                    let report = run_async_sharded_faulted_with(
+                    let report = run_async(
                         &graph,
                         delay.clone(),
-                        Some(&plan),
                         |v| Chatter::new(&graph, v),
-                        SimLimits::default(),
-                        ShardedOptions {
+                        RunOptions {
+                            faults: Some(&plan),
+                            scheduler: SchedulerKind::Sharded { shards, workers: 0 },
                             threads: ThreadMode::Off,
                             batching,
-                            ..ShardedOptions::new(shards)
+                            ..RunOptions::default()
                         },
                     )
                     .expect("faulted sharded run");
@@ -1472,7 +1321,11 @@ mod tests {
                 let forced = sharded_run(
                     &graph,
                     &delay,
-                    ShardedOptions { threads: ThreadMode::ForceOn, ..ShardedOptions::new(shards) },
+                    RunOptions {
+                        scheduler: SchedulerKind::Sharded { shards, workers: 0 },
+                        threads: ThreadMode::ForceOn,
+                        ..RunOptions::default()
+                    },
                 );
                 assert_eq!(forced, reference, "threaded shards={shards} diverged");
             }
@@ -1488,12 +1341,15 @@ mod tests {
         let delay = DelayModel::uniform();
         let reference = wheel_run(&graph, &delay);
         for workers in [1, 2, 3] {
-            let report = run_async_sharded_with(
+            let report = run_async(
                 &graph,
                 delay.clone(),
                 |v| Chatter::new(&graph, v),
-                SimLimits::default(),
-                ShardedOptions { workers, threads: ThreadMode::ForceOn, ..ShardedOptions::new(7) },
+                RunOptions {
+                    scheduler: SchedulerKind::Sharded { shards: 7, workers },
+                    threads: ThreadMode::ForceOn,
+                    ..RunOptions::default()
+                },
             )
             .expect("pooled run");
             assert!(report.pool_dispatches > 0, "workers={workers}: pool never engaged");
@@ -1517,12 +1373,16 @@ mod tests {
         // occupied tick it can see into the in-window heap.
         let graph = Graph::random_connected(26, 0.14, 11);
         let run = |delay: &DelayModel, batching: bool| {
-            run_async_sharded_with(
+            run_async(
                 &graph,
                 delay.clone(),
                 |v| Chatter::new(&graph, v),
-                SimLimits::default(),
-                ShardedOptions { threads: ThreadMode::Off, batching, ..ShardedOptions::new(4) },
+                RunOptions {
+                    scheduler: SchedulerKind::Sharded { shards: 4, workers: 0 },
+                    threads: ThreadMode::Off,
+                    batching,
+                    ..RunOptions::default()
+                },
             )
             .expect("sharded run")
         };
@@ -1547,17 +1407,20 @@ mod tests {
     }
 
     #[test]
-    fn run_async_with_runs_sharded_sequentially() {
+    fn threads_off_runs_sharded_sequentially() {
         let graph = Graph::grid(4, 5);
         let reference = wheel_run(&graph, &DelayModel::jitter(9));
-        let report = run_async_with(
+        let report = run_async(
             &graph,
             DelayModel::jitter(9),
             |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            SchedulerKind::Sharded { shards: 3, workers: 0 },
+            RunOptions {
+                scheduler: SchedulerKind::Sharded { shards: 3, workers: 0 },
+                threads: ThreadMode::Off,
+                ..RunOptions::default()
+            },
         )
-        .expect("sharded via run_async_with");
+        .expect("sequential sharded run");
         let got: NodeView = (
             report.nodes.into_iter().map(|n| n.arrivals).collect(),
             report.metrics,
@@ -1570,20 +1433,23 @@ mod tests {
     fn event_limit_aborts_like_the_serial_engine() {
         let graph = Graph::grid(5, 5);
         let limits = SimLimits { max_events: 40, ..SimLimits::default() };
-        let serial = run_async_with(
+        let serial = run_async(
             &graph,
             DelayModel::uniform(),
             |v| Chatter::new(&graph, v),
-            limits,
-            SchedulerKind::TimingWheel,
+            RunOptions { limits, scheduler: SchedulerKind::TimingWheel, ..RunOptions::default() },
         )
         .unwrap_err();
-        let sharded = run_async_sharded_with(
+        let sharded = run_async(
             &graph,
             DelayModel::uniform(),
             |v| Chatter::new(&graph, v),
-            limits,
-            ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(4) },
+            RunOptions {
+                limits,
+                scheduler: SchedulerKind::Sharded { shards: 4, workers: 0 },
+                threads: ThreadMode::Off,
+                ..RunOptions::default()
+            },
         )
         .unwrap_err();
         assert_eq!(serial, sharded);
@@ -1618,12 +1484,15 @@ mod tests {
             }
         }
         let graph = Graph::grid(12, 12);
-        let _ = run_async_sharded_with(
+        let _ = run_async(
             &graph,
             DelayModel::uniform(),
             |v| Exploding { inner: Chatter::new(&graph, v) },
-            SimLimits::default(),
-            ShardedOptions { threads: ThreadMode::ForceOn, ..ShardedOptions::new(4) },
+            RunOptions {
+                scheduler: SchedulerKind::Sharded { shards: 4, workers: 0 },
+                threads: ThreadMode::ForceOn,
+                ..RunOptions::default()
+            },
         );
     }
 
@@ -1635,14 +1504,18 @@ mod tests {
         let graph = Graph::random_connected(22, 0.16, 19);
         let delay = DelayModel::jitter(4);
         let reference = wheel_run(&graph, &delay);
-        let (report, serial_trace) = crate::async_engine::run_async_traced(
+        let mut report = run_async(
             &graph,
             delay.clone(),
             |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            crate::SchedulerKind::TimingWheel,
+            RunOptions {
+                scheduler: SchedulerKind::TimingWheel,
+                trace: true,
+                ..RunOptions::default()
+            },
         )
         .expect("traced wheel run");
+        let serial_trace = report.trace.take().expect("trace requested");
         let got: NodeView = (
             report.nodes.into_iter().map(|n| n.arrivals).collect(),
             report.metrics,
@@ -1653,14 +1526,19 @@ mod tests {
         assert_eq!(serial_trace.shards, 1);
 
         for shards in [1, 2, 4] {
-            let (report, trace) = run_async_sharded_traced_with(
+            let mut report = run_async(
                 &graph,
                 delay.clone(),
                 |v| Chatter::new(&graph, v),
-                SimLimits::default(),
-                ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(shards) },
+                RunOptions {
+                    scheduler: SchedulerKind::Sharded { shards, workers: 0 },
+                    threads: ThreadMode::Off,
+                    trace: true,
+                    ..RunOptions::default()
+                },
             )
             .expect("traced sharded run");
+            let trace = report.trace.take().expect("trace requested");
             let got: NodeView = (
                 report.nodes.into_iter().map(|n| n.arrivals).collect(),
                 report.metrics,
@@ -1686,22 +1564,33 @@ mod tests {
         // see it nor change what it records.
         let graph = Graph::grid(12, 12);
         let delay = DelayModel::uniform();
-        let (_, sequential) = run_async_sharded_traced_with(
+        let sequential = run_async(
             &graph,
             delay.clone(),
             |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            ShardedOptions { threads: ThreadMode::Off, ..ShardedOptions::new(4) },
+            RunOptions {
+                scheduler: SchedulerKind::Sharded { shards: 4, workers: 0 },
+                threads: ThreadMode::Off,
+                trace: true,
+                ..RunOptions::default()
+            },
         )
-        .expect("sequential traced run");
-        let (report, threaded) = run_async_sharded_traced_with(
+        .expect("sequential traced run")
+        .trace
+        .expect("trace requested");
+        let mut report = run_async(
             &graph,
             delay,
             |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            ShardedOptions { threads: ThreadMode::ForceOn, ..ShardedOptions::new(4) },
+            RunOptions {
+                scheduler: SchedulerKind::Sharded { shards: 4, workers: 0 },
+                threads: ThreadMode::ForceOn,
+                trace: true,
+                ..RunOptions::default()
+            },
         )
         .expect("threaded traced run");
+        let threaded = report.trace.take().expect("trace requested");
         assert_eq!(threaded, sequential);
         assert!(report.metrics.events > 0);
     }
@@ -1725,12 +1614,14 @@ mod tests {
             }
         }
         let graph = Graph::path(3);
-        let err = run_async_sharded(
+        let err = run_async(
             &graph,
             DelayModel::uniform(),
             |me| Bad { me },
-            SimLimits::default(),
-            2,
+            RunOptions {
+                scheduler: SchedulerKind::Sharded { shards: 2, workers: 0 },
+                ..RunOptions::default()
+            },
         )
         .unwrap_err();
         assert_eq!(err, SimError::NotNeighbor { from: NodeId(0), to: NodeId(2) });

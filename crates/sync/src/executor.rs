@@ -16,17 +16,14 @@ use crate::alpha::AlphaSynchronizer;
 use crate::beta::{BetaSynchronizer, SpanningTree};
 use crate::synchronizer::{collect_outputs, DetSynchronizer, SynchronizerConfig};
 use ds_graph::{Graph, NodeId};
-use ds_netsim::async_engine::{run_async_faulted, run_async_faulted_traced, SimError, SimLimits};
+use ds_netsim::async_engine::{run_async, AsyncReport, RunOptions, SimError, SimLimits};
 use ds_netsim::delay::DelayModel;
 use ds_netsim::event_driven::EventDriven;
 use ds_netsim::metrics::RunMetrics;
 use ds_netsim::protocol::Protocol;
-use ds_netsim::recycle::{run_async_recycled, SlabBank};
-use ds_netsim::sharded::{
-    run_async_sharded_faulted_traced_with, run_async_sharded_faulted_with, ShardedOptions,
-};
+use ds_netsim::recycle::SlabBank;
 use ds_netsim::sync_engine::run_sync;
-use ds_netsim::{AsyncReport, DeliveryTrace, FaultPlan, SchedulerKind, ThreadMode};
+use ds_netsim::{DeliveryTrace, FaultPlan, SchedulerKind};
 use std::sync::Arc;
 
 /// The environment an executor runs in: the network, the delay adversary and the
@@ -40,7 +37,7 @@ pub struct ExecutionEnv<'g> {
     /// Event/round budgets.
     pub limits: SimLimits,
     /// Event scheduler driving the asynchronous engine (ignored by the lock-step
-    /// executor). Both kinds produce bit-identical runs.
+    /// executor). Every kind produces bit-identical runs.
     pub scheduler: SchedulerKind,
     /// Record a [`DeliveryTrace`] for the happens-before checker (`ds-verify`).
     /// Off by default; the traced execution is bit-identical to the untraced
@@ -51,82 +48,49 @@ pub struct ExecutionEnv<'g> {
     /// on the intact topology. The lock-step executor **ignores** faults — it
     /// is the fault-free ground truth degraded runs are compared against.
     pub faults: Option<FaultPlan>,
-    /// Engine-state recycling pool ([`ds_netsim::recycle`]). When set, serial
-    /// [`SchedulerKind::TimingWheel`] runs check their engine state (wheel,
-    /// link table, payload arena) out of this shared bank and return it after
-    /// the run, instead of allocating cold. Schedules are bit-identical with
-    /// or without a bank (the reset contract, DESIGN.md §11); other
-    /// scheduler kinds and traced runs ignore it. `None` (the default) always
-    /// allocates cold.
+    /// Engine-state recycling pool ([`ds_netsim::recycle`]). When set,
+    /// [`SchedulerKind::TimingWheel`] runs, traced or not, check their engine
+    /// state (wheel, link table, payload arena) out of this shared bank and
+    /// return it after the run, instead of allocating cold. Schedules are
+    /// bit-identical with or without a bank (the reset contract, DESIGN.md
+    /// §11); the heap and sharded schedulers ignore it. `None` (the default)
+    /// always allocates cold.
     pub recycle: Option<SlabBank>,
 }
 
-/// Runs a synchronizer protocol on the engine the environment selects:
-/// [`SchedulerKind::Sharded`] dispatches to the sharded engine (worker threads
-/// when the host has them — the synchronizer protocols are `Send` because
-/// [`EventDriven`] algorithms are), everything else to the serial engine. All
-/// kinds produce bit-identical runs. With `env.trace` set, the run also
-/// records the delivery trace the happens-before checker consumes.
-fn run_env_async<P, F>(
-    env: &ExecutionEnv<'_>,
-    make: F,
-) -> Result<(AsyncReport<P>, Option<DeliveryTrace>), SimError>
+/// Runs a synchronizer protocol on the engine the environment selects, with
+/// the environment's fault plan and trace request. [`SchedulerKind::Sharded`]
+/// uses worker threads when the host has them — the synchronizer protocols
+/// are `Send` because [`EventDriven`] algorithms are. All kinds produce
+/// bit-identical runs.
+///
+/// Timing-wheel runs check their engine state out of the environment's slab
+/// bank, if it has one; the other schedulers do not use slabs. An error run
+/// drops its slab instead of checking it back in: the bank only pools clean
+/// state.
+fn run_env_async<P, F>(env: &ExecutionEnv<'_>, make: F) -> Result<AsyncReport<P>, SimError>
 where
     P: Protocol + Send,
     P::Message: Send + 'static,
     F: FnMut(NodeId) -> P,
 {
-    let faults = env.faults.as_ref();
-    // Recycled path: serial wheel runs draw their engine state from the
-    // environment's slab bank. Bit-identical to the cold path below — the
-    // recycling reset contract is asserted by the engine itself — and scoped
-    // to exactly the configuration the slabs fit (the sharded engine owns
-    // per-shard state, and traced runs are rare one-off verification runs).
-    // An error run drops its slab instead of checking it back in: the bank
-    // only ever pools provably clean state.
-    if let (SchedulerKind::TimingWheel, false, Some(bank)) =
-        (env.scheduler, env.trace, env.recycle.as_ref())
-    {
-        let mut slab = bank.checkout::<P::Message>();
-        let report =
-            run_async_recycled(env.graph, env.delay.clone(), faults, make, env.limits, &mut slab)?;
+    let mut slab = match (env.scheduler, &env.recycle) {
+        (SchedulerKind::TimingWheel, Some(bank)) => Some(bank.checkout::<P::Message>()),
+        _ => None,
+    };
+    let opts = RunOptions {
+        limits: env.limits,
+        scheduler: env.scheduler,
+        faults: env.faults.as_ref(),
+        trace: env.trace,
+        slab: slab.as_mut(),
+        ..RunOptions::default()
+    };
+    let report = run_async(env.graph, env.delay.clone(), make, opts)?;
+    if let (Some(bank), Some(slab)) = (&env.recycle, slab) {
         bank.check_in(slab);
-        return Ok((report, None));
     }
-    match (env.scheduler, env.trace) {
-        (SchedulerKind::Sharded { shards, workers }, false) => run_async_sharded_faulted_with(
-            env.graph,
-            env.delay.clone(),
-            faults,
-            make,
-            env.limits,
-            ShardedOptions { workers, threads: ThreadMode::Auto, ..ShardedOptions::new(shards) },
-        )
-        .map(|report| (report, None)),
-        (SchedulerKind::Sharded { shards, workers }, true) => {
-            run_async_sharded_faulted_traced_with(
-                env.graph,
-                env.delay.clone(),
-                faults,
-                make,
-                env.limits,
-                ShardedOptions {
-                    workers,
-                    threads: ThreadMode::Auto,
-                    ..ShardedOptions::new(shards)
-                },
-            )
-            .map(|(report, trace)| (report, Some(trace)))
-        }
-        (kind, false) => {
-            run_async_faulted(env.graph, env.delay.clone(), faults, make, env.limits, kind)
-                .map(|report| (report, None))
-        }
-        (kind, true) => {
-            run_async_faulted_traced(env.graph, env.delay.clone(), faults, make, env.limits, kind)
-                .map(|(report, trace)| (report, Some(trace)))
-        }
-    }
+    Ok(report)
 }
 
 /// Degradation status of a run under a fault plan: which nodes were lost and
@@ -207,6 +171,33 @@ pub struct SynchronizedRun<O> {
     pub health: RunHealth,
 }
 
+impl<O> SynchronizedRun<O> {
+    /// Assembles an engine-backed run: `outputs` and `ordering_violations`
+    /// collected from the report's nodes, everything else from the report,
+    /// and the health under the environment's fault plan.
+    fn from_report<P>(
+        env: &ExecutionEnv<'_>,
+        report: AsyncReport<P>,
+        outputs: Vec<Option<O>>,
+        ordering_violations: u64,
+    ) -> Self {
+        let health = RunHealth::of(env.faults.as_ref(), &outputs);
+        SynchronizedRun {
+            outputs,
+            metrics: report.metrics,
+            ordering_violations,
+            trace: report.trace,
+            batched_ticks: report.batched_ticks,
+            dropped_events: report.dropped_events,
+            fault_transitions: report.fault_transitions,
+            peak_live_handles: report.peak_live_handles,
+            arena_bytes: report.arena_bytes,
+            max_batch: report.max_batch,
+            health,
+        }
+    }
+}
+
 /// An execution strategy for event-driven algorithms: wraps per-node algorithm
 /// state, delivers pulses, and collects outputs.
 ///
@@ -283,23 +274,10 @@ impl<A: EventDriven> Synchronizer<A> for AlphaExecutor {
         make_alg: &mut dyn FnMut(NodeId) -> A,
     ) -> Result<SynchronizedRun<A::Output>, SimError> {
         let max_pulse = self.max_pulse;
-        let (report, trace) =
+        let report =
             run_env_async(env, |v| AlphaSynchronizer::new(env.graph, v, make_alg(v), max_pulse))?;
-        let outputs: Vec<_> = report.nodes.iter().map(|n| n.algorithm().output()).collect();
-        let health = RunHealth::of(env.faults.as_ref(), &outputs);
-        Ok(SynchronizedRun {
-            outputs,
-            metrics: report.metrics,
-            ordering_violations: 0,
-            trace,
-            batched_ticks: report.batched_ticks,
-            dropped_events: report.dropped_events,
-            fault_transitions: report.fault_transitions,
-            peak_live_handles: report.peak_live_handles,
-            arena_bytes: report.arena_bytes,
-            max_batch: report.max_batch,
-            health,
-        })
+        let outputs = report.nodes.iter().map(|n| n.algorithm().output()).collect();
+        Ok(SynchronizedRun::from_report(env, report, outputs, 0))
     }
 }
 
@@ -325,23 +303,10 @@ impl<A: EventDriven> Synchronizer<A> for BetaExecutor {
     ) -> Result<SynchronizedRun<A::Output>, SimError> {
         let max_pulse = self.max_pulse;
         let tree = Arc::clone(&self.tree);
-        let (report, trace) =
+        let report =
             run_env_async(env, |v| BetaSynchronizer::new(tree.clone(), v, make_alg(v), max_pulse))?;
-        let outputs: Vec<_> = report.nodes.iter().map(|n| n.algorithm().output()).collect();
-        let health = RunHealth::of(env.faults.as_ref(), &outputs);
-        Ok(SynchronizedRun {
-            outputs,
-            metrics: report.metrics,
-            ordering_violations: 0,
-            trace,
-            batched_ticks: report.batched_ticks,
-            dropped_events: report.dropped_events,
-            fault_transitions: report.fault_transitions,
-            peak_live_handles: report.peak_live_handles,
-            arena_bytes: report.arena_bytes,
-            max_batch: report.max_batch,
-            health,
-        })
+        let outputs = report.nodes.iter().map(|n| n.algorithm().output()).collect();
+        Ok(SynchronizedRun::from_report(env, report, outputs, 0))
     }
 }
 
@@ -364,23 +329,14 @@ impl<A: EventDriven> Synchronizer<A> for DetExecutor {
         make_alg: &mut dyn FnMut(NodeId) -> A,
     ) -> Result<SynchronizedRun<A::Output>, SimError> {
         let cfg = Arc::clone(&self.cfg);
-        let (report, trace) =
-            run_env_async(env, |v| DetSynchronizer::new(v, make_alg(v), cfg.clone()))?;
-        let outputs = collect_outputs(&report.nodes);
-        let health = RunHealth::of(env.faults.as_ref(), &outputs.outputs);
-        Ok(SynchronizedRun {
-            outputs: outputs.outputs,
-            metrics: report.metrics,
-            ordering_violations: outputs.ordering_violations,
-            trace,
-            batched_ticks: report.batched_ticks,
-            dropped_events: report.dropped_events,
-            fault_transitions: report.fault_transitions,
-            peak_live_handles: report.peak_live_handles,
-            arena_bytes: report.arena_bytes,
-            max_batch: report.max_batch,
-            health,
-        })
+        let report = run_env_async(env, |v| DetSynchronizer::new(v, make_alg(v), cfg.clone()))?;
+        let collected = collect_outputs(&report.nodes);
+        Ok(SynchronizedRun::from_report(
+            env,
+            report,
+            collected.outputs,
+            collected.ordering_violations,
+        ))
     }
 }
 

@@ -1168,7 +1168,7 @@ pub fn collect_outputs<A: EventDriven>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ds_netsim::async_engine::{run_async, SimLimits};
+    use ds_netsim::async_engine::{run_async, RunOptions};
     use ds_netsim::delay::DelayModel;
 
     #[derive(Debug)]
@@ -1224,7 +1224,7 @@ mod tests {
                     cfg.clone(),
                 )
             },
-            SimLimits::default(),
+            RunOptions::default(),
         )
         .expect("run");
         for (i, node) in report.nodes.iter().enumerate() {

@@ -2,7 +2,7 @@
 //! indistinguishable from cold state — the reset contract of
 //! `ds-netsim::recycle`.
 //!
-//! The recycled entry point promotes the engine's finished-run
+//! A run through an [`EngineSlab`] promotes the engine's finished-run
 //! "every arena handle returned" `debug_assert` into a hard assertion on
 //! every run; here the same invariant is additionally *test-visible* through
 //! [`EngineSlab::is_clean`], checked back-to-back across reuse, cross-graph
@@ -10,7 +10,7 @@
 
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
 use det_synchronizer::netsim::{
-    run_async, run_async_recycled, AsyncReport, EngineSlab, MessageClass, SlabBank,
+    run_async, AsyncReport, EngineSlab, MessageClass, RunOptions, SlabBank,
 };
 use det_synchronizer::prelude::*;
 
@@ -72,24 +72,29 @@ fn recycled_state_starts_every_run_empty_and_matches_cold_runs() {
     let graph = Graph::grid(8, 8);
     let mut slab = EngineSlab::new();
     assert!(slab.is_clean(), "a fresh slab is trivially clean");
-    for (round, delay) in
-        [DelayModel::jitter(5), DelayModel::uniform(), DelayModel::jitter_at_least(9, 0.5)]
-            .into_iter()
-            .enumerate()
-    {
-        let cold =
-            run_async(&graph, delay.clone(), |v| Flood::new(&graph, v), SimLimits::default())
-                .expect("cold run");
-        let recycled = run_async_recycled(
+    // Each delay model runs untraced and traced: a traced run through the
+    // slab must record exactly the cold traced run's deliveries.
+    let delays =
+        [DelayModel::jitter(5), DelayModel::uniform(), DelayModel::jitter_at_least(9, 0.5)];
+    let inputs = delays.into_iter().flat_map(|delay| [(delay.clone(), false), (delay, true)]);
+    for (round, (delay, trace)) in inputs.enumerate() {
+        let cold = run_async(
+            &graph,
+            delay.clone(),
+            |v| Flood::new(&graph, v),
+            RunOptions { trace, ..RunOptions::default() },
+        )
+        .expect("cold run");
+        let recycled = run_async(
             &graph,
             delay,
-            None,
             |v| Flood::new(&graph, v),
-            SimLimits::default(),
-            &mut slab,
+            RunOptions { trace, slab: Some(&mut slab), ..RunOptions::default() },
         )
         .expect("recycled run");
         assert_matches_cold(&recycled, &cold, &format!("round {round}"));
+        assert_eq!(recycled.trace.is_some(), trace, "round {round}: trace requested");
+        assert_eq!(recycled.trace, cold.trace, "round {round}: delivery trace");
         // The test-visible reset invariant: after every finished run the slab
         // holds no live arena handles and no queued link traffic.
         assert!(slab.is_clean(), "round {round}: slab not clean after a finished run");
@@ -111,15 +116,13 @@ fn one_slab_serves_different_graphs_back_to_back() {
     let mut slab = EngineSlab::new();
     for (i, graph) in graphs.iter().enumerate() {
         let delay = DelayModel::jitter(3 + i as u64);
-        let cold = run_async(graph, delay.clone(), |v| Flood::new(graph, v), SimLimits::default())
+        let cold = run_async(graph, delay.clone(), |v| Flood::new(graph, v), RunOptions::default())
             .expect("cold run");
-        let recycled = run_async_recycled(
+        let recycled = run_async(
             graph,
             delay,
-            None,
             |v| Flood::new(graph, v),
-            SimLimits::default(),
-            &mut slab,
+            RunOptions { slab: Some(&mut slab), ..RunOptions::default() },
         )
         .expect("recycled run");
         assert_matches_cold(&recycled, &cold, &format!("graph {i}"));
@@ -139,22 +142,22 @@ fn faulted_runs_recycle_cleanly_too() {
         .link_up(5000, NodeId(7), NodeId(8));
     let mut slab = EngineSlab::new();
     for round in 0..2 {
-        let cold = det_synchronizer::netsim::run_async_faulted(
+        let cold = run_async(
             &graph,
             DelayModel::jitter(4),
-            Some(&plan),
             |v| Flood::new(&graph, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
+            RunOptions {
+                faults: Some(&plan),
+                scheduler: SchedulerKind::TimingWheel,
+                ..RunOptions::default()
+            },
         )
         .expect("cold faulted run");
-        let recycled = run_async_recycled(
+        let recycled = run_async(
             &graph,
             DelayModel::jitter(4),
-            Some(&plan),
             |v| Flood::new(&graph, v),
-            SimLimits::default(),
-            &mut slab,
+            RunOptions { faults: Some(&plan), slab: Some(&mut slab), ..RunOptions::default() },
         )
         .expect("recycled faulted run");
         assert_matches_cold(&recycled, &cold, &format!("faulted round {round}"));
@@ -170,26 +173,22 @@ fn error_runs_discard_slab_state_without_poisoning_later_runs() {
     let graph = Graph::grid(6, 6);
     let mut slab = EngineSlab::new();
     // A successful run first, so the slab actually holds recycled state.
-    run_async_recycled(
+    run_async(
         &graph,
         DelayModel::jitter(5),
-        None,
         |v| Flood::new(&graph, v),
-        SimLimits::default(),
-        &mut slab,
+        RunOptions { slab: Some(&mut slab), ..RunOptions::default() },
     )
     .expect("warmup run");
     assert_eq!(slab.runs(), 1);
 
     // Starve the event budget mid-run: the engine errors with live handles.
     let starved = SimLimits { max_events: 10, ..SimLimits::default() };
-    let err = run_async_recycled(
+    let err = run_async(
         &graph,
         DelayModel::jitter(5),
-        None,
         |v| Flood::new(&graph, v),
-        starved,
-        &mut slab,
+        RunOptions { limits: starved, slab: Some(&mut slab), ..RunOptions::default() },
     );
     assert!(err.is_err(), "the starved budget must abort the run");
     // The slab discarded the aborted engine state wholesale: still clean
@@ -199,15 +198,13 @@ fn error_runs_discard_slab_state_without_poisoning_later_runs() {
 
     // And the next run through the same slab matches a cold run exactly.
     let cold =
-        run_async(&graph, DelayModel::jitter(5), |v| Flood::new(&graph, v), SimLimits::default())
+        run_async(&graph, DelayModel::jitter(5), |v| Flood::new(&graph, v), RunOptions::default())
             .expect("cold run");
-    let after = run_async_recycled(
+    let after = run_async(
         &graph,
         DelayModel::jitter(5),
-        None,
         |v| Flood::new(&graph, v),
-        SimLimits::default(),
-        &mut slab,
+        RunOptions { slab: Some(&mut slab), ..RunOptions::default() },
     )
     .expect("post-error run");
     assert_matches_cold(&after, &cold, "post-error");
@@ -221,13 +218,11 @@ fn bank_recycles_across_checkouts_and_keeps_slabs_clean() {
     let mut last_events = None;
     for round in 0..4 {
         let mut slab = bank.checkout::<u64>();
-        let report = run_async_recycled(
+        let report = run_async(
             &graph,
             DelayModel::jitter(7),
-            None,
             |v| Flood::new(&graph, v),
-            SimLimits::default(),
-            &mut slab,
+            RunOptions { slab: Some(&mut slab), ..RunOptions::default() },
         )
         .expect("bank run");
         // check_in asserts cleanliness itself; the explicit check keeps the

@@ -16,10 +16,7 @@
 //!   of hanging or fabricating outputs.
 
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
-use det_synchronizer::netsim::{
-    run_async_faulted_traced, run_async_sharded_faulted_traced_with, MessageClass, ShardedOptions,
-    ThreadMode, TICKS_PER_UNIT,
-};
+use det_synchronizer::netsim::{run_async, MessageClass, RunOptions, ThreadMode, TICKS_PER_UNIT};
 use det_synchronizer::prelude::*;
 use det_synchronizer::sync::session::{Session, SyncKind};
 use ds_verify::{check_equivalence, check_trace};
@@ -90,15 +87,20 @@ fn every_fault_plan_is_bit_identical_across_the_engine_matrix() {
     for (plan_name, plan) in fault_plans(&graph) {
         for delay in [DelayModel::jitter(5), DelayModel::outage(7, 5, 2)] {
             let run_serial = |kind: SchedulerKind| {
-                run_async_faulted_traced(
+                let mut report = run_async(
                     &graph,
                     delay.clone(),
-                    Some(&plan),
                     |v| Flood::new(&graph, v),
-                    SimLimits::default(),
-                    kind,
+                    RunOptions {
+                        faults: Some(&plan),
+                        scheduler: kind,
+                        trace: true,
+                        ..RunOptions::default()
+                    },
                 )
-                .unwrap_or_else(|e| panic!("{plan_name}: {e}"))
+                .unwrap_or_else(|e| panic!("{plan_name}: {e}"));
+                let trace = report.trace.take().expect("trace requested");
+                (report, trace)
             };
             let (reference, ref_trace) = run_serial(SchedulerKind::TimingWheel);
             check_trace(&ref_trace).expect("faulted wheel trace violates happens-before");
@@ -127,20 +129,21 @@ fn every_fault_plan_is_bit_identical_across_the_engine_matrix() {
                         let label = format!(
                             "{plan_name}: shards={shards} workers={workers} batching={batching}"
                         );
-                        let (sharded, sharded_trace) = run_async_sharded_faulted_traced_with(
+                        let mut sharded = run_async(
                             &graph,
                             delay.clone(),
-                            Some(&plan),
                             |v| Flood::new(&graph, v),
-                            SimLimits::default(),
-                            ShardedOptions {
-                                workers,
+                            RunOptions {
+                                faults: Some(&plan),
+                                scheduler: SchedulerKind::Sharded { shards, workers },
                                 threads: ThreadMode::ForceOn,
                                 batching,
-                                ..ShardedOptions::new(shards)
+                                trace: true,
+                                ..RunOptions::default()
                             },
                         )
                         .unwrap_or_else(|e| panic!("{label}: {e}"));
+                        let sharded_trace = sharded.trace.take().expect("trace requested");
                         check_trace(&sharded_trace)
                             .expect("faulted sharded trace violates happens-before");
                         check_equivalence(&ref_trace, &sharded_trace)

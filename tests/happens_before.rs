@@ -14,7 +14,7 @@
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
-use det_synchronizer::netsim::{run_async_traced, run_async_with, MessageClass, SimLimits};
+use det_synchronizer::netsim::{run_async, MessageClass, RunOptions, ThreadMode};
 use det_synchronizer::prelude::*;
 use ds_verify::{check_equivalence, check_trace};
 
@@ -75,28 +75,33 @@ impl Protocol for Chatter<'_> {
 /// the serial record count (so callers can assert the scenario was
 /// non-trivial).
 fn verify_scenario(graph: &Graph, delay: &DelayModel, context: &str) -> usize {
-    let (wheel_report, wheel_trace) = run_async_traced(
+    let mut wheel_report = run_async(
         graph,
         delay.clone(),
         |v| Chatter::new(graph, v),
-        SimLimits::default(),
-        SchedulerKind::TimingWheel,
+        RunOptions { scheduler: SchedulerKind::TimingWheel, trace: true, ..RunOptions::default() },
     )
     .unwrap_or_else(|e| panic!("wheel run failed ({context}): {e}"));
+    let wheel_trace = wheel_report.trace.take().expect("trace requested");
     let report = check_trace(&wheel_trace).unwrap_or_else(|violations| {
         panic!("wheel trace violates HB ({context}):\n{}", render(&violations))
     });
     assert_eq!(report.records, wheel_trace.records.len());
 
     for scheduler in SHARDED {
-        let (sharded_report, sharded_trace) = run_async_traced(
+        let mut sharded_report = run_async(
             graph,
             delay.clone(),
             |v| Chatter::new(graph, v),
-            SimLimits::default(),
-            scheduler,
+            RunOptions {
+                scheduler,
+                threads: ThreadMode::Off,
+                trace: true,
+                ..RunOptions::default()
+            },
         )
         .unwrap_or_else(|e| panic!("{scheduler:?} run failed ({context}): {e}"));
+        let sharded_trace = sharded_report.trace.take().expect("trace requested");
         check_trace(&sharded_trace).unwrap_or_else(|violations| {
             panic!("{scheduler:?} trace violates HB ({context}):\n{}", render(&violations))
         });
@@ -152,14 +157,14 @@ fn overflow_parked_events_keep_the_hb_contract() {
     // re-enter the wheel in seq order, and the trace must not show it.
     let graph = Graph::random_connected(24, 0.15, 5);
     let delay = DelayModel::outage(13, 5, 2);
-    let (report, trace) = run_async_traced(
+    let mut report = run_async(
         &graph,
         delay.clone(),
         |v| Chatter::new(&graph, v),
-        SimLimits::default(),
-        SchedulerKind::TimingWheel,
+        RunOptions { scheduler: SchedulerKind::TimingWheel, trace: true, ..RunOptions::default() },
     )
     .expect("outage wheel run");
+    let trace = report.trace.take().expect("trace requested");
     assert!(
         report.overflow_events > 0,
         "outage adversary failed to reach the overflow heap — the scenario proves nothing"
@@ -167,14 +172,19 @@ fn overflow_parked_events_keep_the_hb_contract() {
     check_trace(&trace).expect("overflow path broke the HB contract on the wheel");
 
     for scheduler in SHARDED {
-        let (sharded_report, sharded_trace) = run_async_traced(
+        let mut sharded_report = run_async(
             &graph,
             delay.clone(),
             |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            scheduler,
+            RunOptions {
+                scheduler,
+                threads: ThreadMode::Off,
+                trace: true,
+                ..RunOptions::default()
+            },
         )
         .expect("outage sharded run");
+        let sharded_trace = sharded_report.trace.take().expect("trace requested");
         assert!(sharded_report.overflow_events > 0, "sharded overflow heaps unused");
         assert_eq!(sharded_report.overflow_events, report.overflow_events);
         check_trace(&sharded_trace)
@@ -193,22 +203,26 @@ fn tracing_is_zero_overhead_when_off() {
     for scheduler in
         [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap].into_iter().chain(SHARDED)
     {
-        let untraced = run_async_with(
+        let untraced = run_async(
             &graph,
             delay.clone(),
             |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            scheduler,
+            RunOptions { scheduler, threads: ThreadMode::Off, ..RunOptions::default() },
         )
         .expect("untraced run");
-        let (traced, trace) = run_async_traced(
+        let mut traced = run_async(
             &graph,
             delay.clone(),
             |v| Chatter::new(&graph, v),
-            SimLimits::default(),
-            scheduler,
+            RunOptions {
+                scheduler,
+                threads: ThreadMode::Off,
+                trace: true,
+                ..RunOptions::default()
+            },
         )
         .expect("traced run");
+        let trace = traced.trace.take().expect("trace requested");
         assert_eq!(traced.metrics, untraced.metrics, "{scheduler:?} metrics diverged");
         assert_eq!(traced.overflow_events, untraced.overflow_events);
         assert_eq!(traced.batched_ticks, untraced.batched_ticks);

@@ -23,12 +23,9 @@
 
 use det_synchronizer::algos::bfs::BfsAlgorithm;
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
-use det_synchronizer::netsim::{
-    run_async_sharded_with, run_async_with, MessageClass, ShardedOptions, SimLimits, ThreadMode,
-};
+use det_synchronizer::netsim::{run_async, MessageClass, RunOptions, ThreadMode};
 use det_synchronizer::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 /// The sharded challengers, each compared against the wheel reference run.
 /// `shards: 1` pins the degenerate single-shard layout; 2 and 4 exercise
@@ -42,7 +39,7 @@ const SHARDED: [SchedulerKind; 4] = [
 ];
 
 /// A shared log of every delivery, in engine order: `(from, to, payload)`.
-type DeliveryLog = Rc<RefCell<Vec<(NodeId, NodeId, u64)>>>;
+type DeliveryLog = Arc<Mutex<Vec<(NodeId, NodeId, u64)>>>;
 
 /// A chatty protocol that records both the global delivery order (through the
 /// shared log) and its own arrival stream, and keeps traffic flowing for a few
@@ -69,7 +66,7 @@ impl Protocol for Recorder<'_> {
     }
 
     fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<u64>) {
-        self.log.borrow_mut().push((from, self.me, msg));
+        self.log.lock().expect("delivery log poisoned").push((from, self.me, msg));
         self.arrivals.push((from, msg));
         if self.waves_left > 0 {
             self.waves_left -= 1;
@@ -88,29 +85,28 @@ impl Protocol for Recorder<'_> {
 type RecorderView = (Vec<(NodeId, NodeId, u64)>, Vec<Vec<(NodeId, u64)>>, RunMetrics);
 
 fn run_recorder(graph: &Graph, delay: DelayModel, scheduler: SchedulerKind) -> RecorderView {
-    // The Recorder's shared `Rc` log is deliberately not `Send`:
-    // `run_async_with` runs `Sharded` kinds on the coordinator thread
-    // (sequentially, same execution), so the global interleaving stays
-    // observable; the threaded hand-off is pinned by the `ds-netsim` unit
-    // tests and the `Session`-level matrix below.
-    let log: DeliveryLog = Rc::new(RefCell::new(Vec::new()));
-    let report = run_async_with(
+    // `ThreadMode::Off` runs `Sharded` kinds on the calling thread
+    // (sequentially, same execution), so the shared log's global
+    // interleaving stays observable; the threaded hand-off is pinned by the
+    // `ds-netsim` unit tests and the `Session`-level matrix below.
+    let log: DeliveryLog = Arc::new(Mutex::new(Vec::new()));
+    let report = run_async(
         graph,
         delay,
         |v| Recorder {
             me: v,
             neighbors: graph.neighbors(v),
-            log: Rc::clone(&log),
+            log: Arc::clone(&log),
             arrivals: Vec::new(),
             waves_left: 3,
         },
-        SimLimits::default(),
-        scheduler,
+        RunOptions { scheduler, threads: ThreadMode::Off, ..RunOptions::default() },
     )
     .expect("recorder run");
     let metrics = report.metrics;
     let arrivals = report.nodes.into_iter().map(|n| n.arrivals).collect();
-    (Rc::try_unwrap(log).expect("engine dropped its clones").into_inner(), arrivals, metrics)
+    let log = Arc::try_unwrap(log).expect("engine dropped its clones");
+    (log.into_inner().expect("delivery log poisoned"), arrivals, metrics)
 }
 
 /// Asserts `got` equals the wheel reference at the level `scheduler`'s contract
@@ -178,10 +174,9 @@ fn all_schedulers_agree_under_every_standard_adversary() {
     }
 }
 
-/// Like [`Recorder`] but without the shared `Rc` log, so it is `Send` and can
-/// go through [`run_async_sharded_with`] — the only public surface that
-/// exposes the batching knob. The per-node arrival streams plus byte-identical
-/// `RunMetrics` are exactly what the sharded contract promises.
+/// Like [`Recorder`] but without the shared log, for the batching matrix:
+/// the per-node arrival streams plus byte-identical `RunMetrics` are exactly
+/// what the sharded contract promises.
 #[derive(Debug)]
 struct SendRecorder<'g> {
     me: NodeId,
@@ -228,7 +223,7 @@ fn batching_on_and_off_produce_bit_identical_schedules() {
     let mut adversaries = vec![DelayModel::jitter(7), DelayModel::uniform()];
     adversaries.push(DelayModel::outage(7, 5, 2));
     let run_sharded = |delay: &DelayModel, shards: usize, batching: bool| {
-        let report = run_async_sharded_with(
+        let report = run_async(
             &graph,
             delay.clone(),
             |v| SendRecorder {
@@ -237,8 +232,12 @@ fn batching_on_and_off_produce_bit_identical_schedules() {
                 arrivals: Vec::new(),
                 waves_left: 3,
             },
-            SimLimits::default(),
-            ShardedOptions { batching, threads: ThreadMode::Off, ..ShardedOptions::new(shards) },
+            RunOptions {
+                scheduler: SchedulerKind::Sharded { shards, workers: 0 },
+                batching,
+                threads: ThreadMode::Off,
+                ..RunOptions::default()
+            },
         )
         .expect("sharded recorder run");
         let metrics = report.metrics;
@@ -268,7 +267,7 @@ fn batching_on_and_off_produce_bit_identical_schedules() {
 fn every_sync_kind_is_scheduler_independent_on_bfs() {
     // Full stack: the synchronizers' executions (outputs *and* byte-identical
     // RunMetrics) must not depend on the scheduler choice. The `Sharded` kinds
-    // here go through `Session` → the executors → `run_async_sharded`, which
+    // here go through `Session` → the executors → `run_async`, which
     // engages worker threads when the host has spare cores — on multi-core CI
     // this pins the cross-thread hand-off end to end.
     let graph = Graph::grid(5, 5);

@@ -9,10 +9,7 @@
 //! reference.
 
 use det_synchronizer::netsim::protocol::{Ctx, Protocol};
-use det_synchronizer::netsim::{
-    run_async_sharded_traced_with, run_async_traced, MessageClass, ShardedOptions, SimLimits,
-    ThreadMode,
-};
+use det_synchronizer::netsim::{run_async, MessageClass, RunOptions, ThreadMode};
 use det_synchronizer::prelude::*;
 use ds_verify::{check_equivalence, check_trace};
 
@@ -63,30 +60,35 @@ fn arrivals(report: &det_synchronizer::netsim::AsyncReport<Flood<'_>>) -> Vec<Ve
 fn forced_worker_threads_reproduce_the_serial_schedule() {
     let graph = Graph::grid(12, 12);
     for delay in [DelayModel::uniform(), DelayModel::jitter(7)] {
-        let (wheel_report, wheel_trace) = run_async_traced(
+        let mut wheel_report = run_async(
             &graph,
             delay.clone(),
             |v| Flood::new(&graph, v),
-            SimLimits::default(),
-            SchedulerKind::TimingWheel,
+            RunOptions {
+                scheduler: SchedulerKind::TimingWheel,
+                trace: true,
+                ..RunOptions::default()
+            },
         )
         .expect("wheel run");
+        let wheel_trace = wheel_report.trace.take().expect("trace requested");
         check_trace(&wheel_trace).expect("wheel trace violates HB");
 
         for shards in [2usize, 4] {
             for workers in [1usize, 2, 4] {
-                let (threaded_report, threaded_trace) = run_async_sharded_traced_with(
+                let mut threaded_report = run_async(
                     &graph,
                     delay.clone(),
                     |v| Flood::new(&graph, v),
-                    SimLimits::default(),
-                    ShardedOptions {
-                        workers,
+                    RunOptions {
+                        scheduler: SchedulerKind::Sharded { shards, workers },
                         threads: ThreadMode::ForceOn,
-                        ..ShardedOptions::new(shards)
+                        trace: true,
+                        ..RunOptions::default()
                     },
                 )
                 .expect("threaded run");
+                let threaded_trace = threaded_report.trace.take().expect("trace requested");
                 assert_eq!(
                     threaded_report.metrics, wheel_report.metrics,
                     "metrics diverged ({shards} shards, {workers} workers, {delay:?})"
@@ -113,14 +115,21 @@ fn forced_and_disabled_threads_trace_identically() {
     for shards in [2usize, 4] {
         for batching in [true, false] {
             let run = |threads: ThreadMode, workers: usize| {
-                run_async_sharded_traced_with(
+                let mut report = run_async(
                     &graph,
                     delay.clone(),
                     |v| Flood::new(&graph, v),
-                    SimLimits::default(),
-                    ShardedOptions { workers, threads, batching, ..ShardedOptions::new(shards) },
+                    RunOptions {
+                        scheduler: SchedulerKind::Sharded { shards, workers },
+                        threads,
+                        batching,
+                        trace: true,
+                        ..RunOptions::default()
+                    },
                 )
-                .expect("sharded run")
+                .expect("sharded run");
+                let trace = report.trace.take().expect("trace requested");
+                (report, trace)
             };
             let (off_report, off_trace) = run(ThreadMode::Off, 0);
             let (on_report, on_trace) = run(ThreadMode::ForceOn, 2);
