@@ -12,7 +12,7 @@ use ds_algos::bfs::BfsAlgorithm;
 use ds_covers::builder::build_sparse_cover;
 use ds_graph::{Graph, NodeId};
 use ds_netsim::delay::DelayModel;
-use ds_sync::registration::{RegAction, RegMsg, RegistrationInstance, TreePosition};
+use ds_sync::registration::{RegAction, RegMsg, RegistrationInstance};
 use ds_sync::session::{Session, SyncKind};
 use std::time::{Duration, Instant};
 
@@ -58,10 +58,9 @@ fn bench_registration_roundtrip() {
     // setup inside the timed loop.
     let template: Vec<RegistrationInstance> = (0..33usize)
         .map(|v| {
-            RegistrationInstance::new(TreePosition {
-                parent: if v == 0 { None } else { Some(NodeId(v - 1)) },
-                children: if v == 32 { vec![] } else { vec![NodeId(v + 1)] },
-            })
+            let parent = if v == 0 { None } else { Some(NodeId(v - 1)) };
+            let children = if v == 32 { vec![] } else { vec![NodeId(v + 1)] };
+            RegistrationInstance::new(parent, &children)
         })
         .collect();
     bench("registration_roundtrip_depth32", || {

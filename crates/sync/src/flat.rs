@@ -21,6 +21,11 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
         FlatMap { entries: Vec::new() }
     }
 
+    /// Creates an empty map with room for `capacity` entries.
+    pub fn with_capacity(capacity: usize) -> Self {
+        FlatMap { entries: Vec::with_capacity(capacity) }
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -108,6 +113,11 @@ impl<T: Ord + Copy> FlatSet<T> {
     /// Creates an empty set.
     pub fn new() -> Self {
         FlatSet { items: Vec::new() }
+    }
+
+    /// Creates an empty set with room for `capacity` elements.
+    pub fn with_capacity(capacity: usize) -> Self {
+        FlatSet { items: Vec::with_capacity(capacity) }
     }
 
     /// Number of elements.

@@ -20,7 +20,9 @@
 //! and peer messages ([`RegistrationInstance::on_message`]), and emits
 //! [`RegAction`]s — messages to tree neighbors plus local notifications — which the
 //! embedding protocol (the synchronizer) routes over the network. One instance exists
-//! per (cluster, stage) pair per node, created lazily.
+//! per (cluster, stage) pair per node while a registration wave passes through it:
+//! the synchronizer creates it lazily and drops it again once it is idle
+//! ([`RegistrationInstance::is_idle`]).
 
 use ds_graph::NodeId;
 
@@ -49,15 +51,6 @@ pub enum RegAction {
     Free,
 }
 
-/// The role of the local node within one cluster tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TreePosition {
-    /// Parent in the cluster tree (`None` for the cluster root).
-    pub parent: Option<NodeId>,
-    /// Children in the cluster tree.
-    pub children: Vec<NodeId>,
-}
-
 /// Edge marks as seen from the node above the edge (for child edges) or below it (for
 /// the parent edge).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -68,10 +61,28 @@ enum EdgeMark {
     Waiting,
 }
 
+/// One cluster-tree child edge, as seen from the parent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ChildEdge {
+    node: NodeId,
+    mark: EdgeMark,
+    /// Whether this child's `R` invocation is waiting for this node to become
+    /// finished.
+    r_waiting: bool,
+}
+
 /// Per-node state of the registration abstraction for one (cluster, stage).
-#[derive(Clone, Debug)]
+///
+/// An instance is *idle* ([`RegistrationInstance::is_idle`]) when no wave is passing
+/// through it; an idle instance behaves exactly like a fresh one, so the embedding
+/// protocol may drop it and recreate it lazily (DESIGN.md §3.4).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegistrationInstance {
-    position: TreePosition,
+    /// Parent in the cluster tree (`None` for the cluster root).
+    parent: Option<NodeId>,
+    /// The child edges, in cluster-tree order (flat: children lists are short, so a
+    /// linear scan beats any map).
+    children: Vec<ChildEdge>,
     /// Whether the path from this node to the root is known to be fully dirty.
     finished: bool,
     /// This node's own lifecycle.
@@ -80,12 +91,6 @@ pub struct RegistrationInstance {
     free: bool,
     /// Mark of the edge to the parent, from this node's point of view.
     parent_edge: EdgeMark,
-    /// Marks of the child edges, aligned with `position.children` (flat: children
-    /// lists are short, so a linear index scan beats any map).
-    child_marks: Vec<EdgeMark>,
-    /// Whether each child's `R` invocation is waiting for this node to become
-    /// finished, aligned with `position.children`.
-    r_waiting: Vec<bool>,
     /// Whether this node's own registration is waiting for the parent's `R`.
     own_r_pending: bool,
     /// Whether a `RegisterUp` has been sent and not yet answered.
@@ -93,36 +98,75 @@ pub struct RegistrationInstance {
 }
 
 impl RegistrationInstance {
-    /// Creates the instance for a node at the given tree position. The cluster root
-    /// (no parent) starts out `finished`, as in the paper.
-    pub fn new(position: TreePosition) -> Self {
-        let finished = position.parent.is_none();
-        let degree = position.children.len();
+    /// Creates the instance for a node with cluster-tree `parent` and `children`. The
+    /// cluster root (no parent) starts out `finished`, as in the paper.
+    pub fn new(parent: Option<NodeId>, children: &[NodeId]) -> Self {
+        Self::with_edges(Vec::new(), parent, children)
+    }
+
+    /// Like [`RegistrationInstance::new`], but builds the child edges in `edges`
+    /// (cleared first), so a buffer returned by [`RegistrationInstance::into_edges`]
+    /// is reused instead of allocating a new one.
+    pub(crate) fn with_edges(
+        mut edges: Vec<ChildEdge>,
+        parent: Option<NodeId>,
+        children: &[NodeId],
+    ) -> Self {
+        edges.clear();
+        edges.extend(children.iter().map(|&node| ChildEdge {
+            node,
+            mark: EdgeMark::Clean,
+            r_waiting: false,
+        }));
         RegistrationInstance {
-            position,
-            finished,
+            parent,
+            children: edges,
+            finished: parent.is_none(),
             registered: false,
             deregistered: false,
             free: false,
             parent_edge: EdgeMark::Clean,
-            child_marks: vec![EdgeMark::Clean; degree],
-            r_waiting: vec![false; degree],
             own_r_pending: false,
             awaiting_parent: false,
         }
     }
 
-    /// Index of `child` in the children list.
+    /// Consumes the instance and returns its child-edge buffer for reuse by
+    /// [`RegistrationInstance::with_edges`].
+    pub(crate) fn into_edges(self) -> Vec<ChildEdge> {
+        self.children
+    }
+
+    /// Whether no registration wave is passing through this node: the state equals
+    /// [`RegistrationInstance::new`] for the same tree position, except that a node
+    /// which deregistered and has been freed keeps its `deregistered` and `free`
+    /// flags.
+    ///
+    /// Those flags make the one behavioural difference between an idle instance and
+    /// a fresh one: a second [`RegistrationInstance::deregister`] panics. Dropping an
+    /// idle instance and recreating it loses only that one-shot check; the
+    /// synchronizer asserts instead that an anchor starts each (stage, cluster)
+    /// registration once.
+    pub fn is_idle(&self) -> bool {
+        self.finished == self.parent.is_none()
+            && !self.registered
+            && self.deregistered == self.free
+            && self.parent_edge == EdgeMark::Clean
+            && !self.own_r_pending
+            && !self.awaiting_parent
+            && self.children.iter().all(|e| e.mark == EdgeMark::Clean && !e.r_waiting)
+    }
+
+    /// The child edge to `child`.
     ///
     /// # Panics
     ///
     /// Panics if `child` is not a cluster-tree child of this node (registration
     /// messages only travel along cluster-tree edges).
-    fn child_index(&self, child: NodeId) -> usize {
-        self.position
-            .children
-            .iter()
-            .position(|&c| c == child)
+    fn child_edge(&mut self, child: NodeId) -> &mut ChildEdge {
+        self.children
+            .iter_mut()
+            .find(|e| e.node == child)
             .expect("registration message from a non-child")
     }
 
@@ -168,9 +212,9 @@ impl RegistrationInstance {
     pub fn on_message(&mut self, from: NodeId, msg: RegMsg, actions: &mut Vec<RegAction>) {
         match msg {
             RegMsg::RegisterUp => {
-                let i = self.child_index(from);
-                self.child_marks[i] = EdgeMark::Dirty;
-                self.r_waiting[i] = true;
+                let edge = self.child_edge(from);
+                edge.mark = EdgeMark::Dirty;
+                edge.r_waiting = true;
                 self.invoke_r(actions);
             }
             RegMsg::RegisterDone => {
@@ -178,9 +222,8 @@ impl RegistrationInstance {
                 self.complete_r(actions);
             }
             RegMsg::DeregisterUp => {
-                let i = self.child_index(from);
-                self.child_marks[i] = EdgeMark::Waiting;
-                if self.position.parent.is_none() {
+                self.child_edge(from).mark = EdgeMark::Waiting;
+                if self.parent.is_none() {
                     self.maybe_issue_goahead(actions);
                 } else {
                     self.invoke_d(actions);
@@ -208,7 +251,7 @@ impl RegistrationInstance {
             self.complete_r(actions);
             return;
         }
-        let parent = self.position.parent.expect("only the root is finished from the start");
+        let parent = self.parent.expect("only the root is finished from the start");
         if self.parent_edge != EdgeMark::Dirty {
             self.parent_edge = EdgeMark::Dirty;
         }
@@ -226,26 +269,23 @@ impl RegistrationInstance {
             self.registered = true;
             actions.push(RegAction::Registered);
         }
-        for i in 0..self.r_waiting.len() {
-            if self.r_waiting[i] {
-                self.r_waiting[i] = false;
-                actions.push(RegAction::Send {
-                    to: self.position.children[i],
-                    msg: RegMsg::RegisterDone,
-                });
+        for edge in &mut self.children {
+            if edge.r_waiting {
+                edge.r_waiting = false;
+                actions.push(RegAction::Send { to: edge.node, msg: RegMsg::RegisterDone });
             }
         }
     }
 
     /// Procedure `D` at this node.
     fn invoke_d(&mut self, actions: &mut Vec<RegAction>) {
-        if self.child_marks.contains(&EdgeMark::Dirty) {
+        if self.any_child_dirty() {
             return;
         }
         if self.registered {
             return;
         }
-        match self.position.parent {
+        match self.parent {
             None => self.maybe_issue_goahead(actions),
             Some(parent) => {
                 if self.parent_edge == EdgeMark::Dirty {
@@ -270,31 +310,33 @@ impl RegistrationInstance {
             self.free = true;
             actions.push(RegAction::Free);
         }
-        for i in 0..self.child_marks.len() {
-            if self.child_marks[i] == EdgeMark::Waiting {
-                self.child_marks[i] = EdgeMark::Clean;
-                actions.push(RegAction::Send {
-                    to: self.position.children[i],
-                    msg: RegMsg::GoAheadDown,
-                });
+        for edge in &mut self.children {
+            if edge.mark == EdgeMark::Waiting {
+                edge.mark = EdgeMark::Clean;
+                actions.push(RegAction::Send { to: edge.node, msg: RegMsg::GoAheadDown });
             }
         }
     }
 
     /// At the root: issue a Go-Ahead if no child edge is dirty.
     fn maybe_issue_goahead(&mut self, actions: &mut Vec<RegAction>) {
-        debug_assert!(self.position.parent.is_none());
-        if self.child_marks.contains(&EdgeMark::Dirty) {
+        debug_assert!(self.parent.is_none());
+        if self.any_child_dirty() {
             return;
         }
         self.receive_goahead(actions);
+    }
+
+    fn any_child_dirty(&self) -> bool {
+        self.children.iter().any(|e| e.mark == EdgeMark::Dirty)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{BTreeMap, BTreeSet};
+    use ds_graph::rng::Prng;
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
     /// A tiny sequential harness that delivers registration messages between the
     /// node-local instances of one cluster tree, in FIFO order, and records local
@@ -319,11 +361,8 @@ mod tests {
             let nodes = parents
                 .iter()
                 .map(|&(v, p)| {
-                    let pos = TreePosition {
-                        parent: p.map(NodeId),
-                        children: children.get(&v).cloned().unwrap_or_default(),
-                    };
-                    (NodeId(v), RegistrationInstance::new(pos))
+                    let kids = children.get(&v).cloned().unwrap_or_default();
+                    (NodeId(v), RegistrationInstance::new(p.map(NodeId), &kids))
                 })
                 .collect();
             Harness {
@@ -371,6 +410,14 @@ mod tests {
                 self.apply(to, actions);
             }
         }
+
+        /// Every wave has passed: each instance is back in its fresh state (the
+        /// equivalence the synchronizer's retirement of idle instances relies on).
+        fn assert_all_idle(&self) {
+            for (v, inst) in &self.nodes {
+                assert!(inst.is_idle(), "node {v} is not idle: {inst:?}");
+            }
+        }
     }
 
     /// Path tree 0 (root) - 1 - 2 - 3.
@@ -388,6 +435,7 @@ mod tests {
         h.deregister(3);
         h.drain();
         assert_eq!(h.freed, vec![NodeId(3)]);
+        h.assert_all_idle();
     }
 
     #[test]
@@ -398,6 +446,7 @@ mod tests {
         h.deregister(0);
         h.drain();
         assert_eq!(h.freed, vec![NodeId(0)]);
+        h.assert_all_idle();
     }
 
     #[test]
@@ -417,6 +466,7 @@ mod tests {
         let mut freed = h.freed.clone();
         freed.sort();
         assert_eq!(freed, vec![NodeId(2), NodeId(3)]);
+        h.assert_all_idle();
     }
 
     #[test]
@@ -435,6 +485,7 @@ mod tests {
         h.deregister(2);
         h.drain();
         assert_eq!(h.freed, vec![NodeId(3), NodeId(2)]);
+        h.assert_all_idle();
     }
 
     #[test]
@@ -454,6 +505,7 @@ mod tests {
         let mut freed = h.freed.clone();
         freed.sort();
         assert_eq!(freed, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        h.assert_all_idle();
     }
 
     #[test]
@@ -469,6 +521,7 @@ mod tests {
         h.deregister(3);
         h.drain();
         assert!(h.messages - after_register <= 2 * 3);
+        h.assert_all_idle();
     }
 
     #[test]
@@ -488,6 +541,7 @@ mod tests {
         let mut freed = h.freed.clone();
         freed.sort();
         assert_eq!(freed, vec![NodeId(1), NodeId(3)]);
+        h.assert_all_idle();
     }
 
     #[test]
@@ -506,14 +560,10 @@ mod tests {
     fn stale_goahead_does_not_wipe_a_redirtied_parent_edge() {
         // Root 0 — relay 1 — leaves 2 and 3. Messages are delivered by hand so the
         // stale Go-Ahead can be held back and reordered after the new RegisterUp.
-        let pos = |parent: Option<usize>, children: &[usize]| TreePosition {
-            parent: parent.map(NodeId),
-            children: children.iter().map(|&c| NodeId(c)).collect(),
-        };
-        let mut n0 = RegistrationInstance::new(pos(None, &[1]));
-        let mut n1 = RegistrationInstance::new(pos(Some(0), &[2, 3]));
-        let mut n2 = RegistrationInstance::new(pos(Some(1), &[]));
-        let mut n3 = RegistrationInstance::new(pos(Some(1), &[]));
+        let mut n0 = RegistrationInstance::new(None, &[NodeId(1)]);
+        let mut n1 = RegistrationInstance::new(Some(NodeId(0)), &[NodeId(2), NodeId(3)]);
+        let mut n2 = RegistrationInstance::new(Some(NodeId(1)), &[]);
+        let mut n3 = RegistrationInstance::new(Some(NodeId(1)), &[]);
         let deliver = |inst: &mut RegistrationInstance, from: usize, msg: RegMsg| {
             let mut actions = Vec::new();
             inst.on_message(NodeId(from), msg, &mut actions);
@@ -574,5 +624,154 @@ mod tests {
         assert_eq!(a, vec![RegAction::Send { to: NodeId(3), msg: RegMsg::GoAheadDown }]);
         let a = deliver(&mut n3, 1, RegMsg::GoAheadDown);
         assert_eq!(a, vec![RegAction::Free]);
+        for (v, inst) in [n0, n1, n2, n3].iter().enumerate() {
+            assert!(inst.is_idle(), "node {v} is not idle: {inst:?}");
+        }
+    }
+
+    #[test]
+    fn idle_means_fresh_up_to_the_deregistered_flag() {
+        let kids = [NodeId(2), NodeId(3)];
+        let fresh = RegistrationInstance::new(Some(NodeId(0)), &kids);
+        assert!(fresh.is_idle());
+        // A recycled edge buffer builds exactly the fresh instance.
+        let spare = RegistrationInstance::new(None, &[NodeId(7)]).into_edges();
+        assert_eq!(RegistrationInstance::with_edges(spare, Some(NodeId(0)), &kids), fresh);
+        // Mid-wave states are not idle.
+        let mut inst = fresh.clone();
+        inst.register(&mut Vec::new());
+        assert!(!inst.is_idle(), "a pending registration is not idle");
+        let mut inst = fresh.clone();
+        inst.on_message(NodeId(3), RegMsg::RegisterUp, &mut Vec::new());
+        assert!(!inst.is_idle(), "a relayed registration is not idle");
+        // A root that registered, deregistered and was freed is idle but keeps its
+        // `deregistered` flag: the one field in which it differs from a fresh root.
+        let mut root = RegistrationInstance::new(None, &kids);
+        root.register(&mut Vec::new());
+        root.deregister(&mut Vec::new());
+        assert!(root.is_free() && root.is_idle());
+        assert_ne!(root, RegistrationInstance::new(None, &kids));
+    }
+
+    /// What one seeded interleaving produced: every local action in order, the
+    /// freed nodes, the instances still stored at the end, and how many instances
+    /// were created over the run.
+    struct Outcome {
+        actions: Vec<(NodeId, RegAction)>,
+        freed: BTreeSet<NodeId>,
+        left: BTreeMap<NodeId, RegistrationInstance>,
+        created: usize,
+        registrants: BTreeSet<NodeId>,
+    }
+
+    /// Runs one seeded interleaving over the cluster tree `parents` (node `v`'s
+    /// parent is `parents[v]`). Each step picks uniformly among the enabled moves:
+    /// deliver the head of a non-empty link (links are FIFO, as in the simulator),
+    /// register a chosen registrant that has not yet registered (each node registers
+    /// at most once, the synchronizer's contract), or deregister a confirmed one.
+    ///
+    /// Instances are created lazily from [`RegistrationInstance::new`]. With
+    /// `retire`, an instance is dropped as soon as it is idle — the synchronizer's
+    /// policy; without it, every instance is kept for the whole run.
+    fn run_interleaving(parents: &[Option<usize>], seed: u64, retire: bool) -> Outcome {
+        let n = parents.len();
+        let mut children = vec![Vec::new(); n];
+        for (v, p) in parents.iter().enumerate() {
+            if let Some(p) = *p {
+                children[p].push(NodeId(v));
+            }
+        }
+        let mut rng = Prng::new(seed);
+        let mut to_register: Vec<usize> = (0..n).filter(|_| rng.next_below(2) == 0).collect();
+        if to_register.is_empty() {
+            to_register.push(rng.index_in(0, n));
+        }
+        let registrants = to_register.iter().map(|&v| NodeId(v)).collect();
+        let mut to_deregister: Vec<usize> = Vec::new();
+        let mut links: BTreeMap<(usize, usize), VecDeque<RegMsg>> = BTreeMap::new();
+        let mut out = Outcome {
+            actions: Vec::new(),
+            freed: BTreeSet::new(),
+            left: BTreeMap::new(),
+            created: 0,
+            registrants,
+        };
+        loop {
+            let busy: Vec<(usize, usize)> =
+                links.iter().filter(|(_, q)| !q.is_empty()).map(|(k, _)| *k).collect();
+            let moves = busy.len() + to_register.len() + to_deregister.len();
+            if moves == 0 {
+                break;
+            }
+            let pick = rng.index_in(0, moves);
+            let node = if pick < busy.len() {
+                busy[pick].1
+            } else if pick < busy.len() + to_register.len() {
+                to_register[pick - busy.len()]
+            } else {
+                to_deregister[pick - busy.len() - to_register.len()]
+            };
+            let inst = out.left.entry(NodeId(node)).or_insert_with(|| {
+                out.created += 1;
+                RegistrationInstance::new(parents[node].map(NodeId), &children[node])
+            });
+            let mut actions = Vec::new();
+            if pick < busy.len() {
+                let (from, _) = busy[pick];
+                let msg = links.get_mut(&(from, node)).unwrap().pop_front().unwrap();
+                inst.on_message(NodeId(from), msg, &mut actions);
+            } else if pick < busy.len() + to_register.len() {
+                to_register.remove(pick - busy.len());
+                inst.register(&mut actions);
+            } else {
+                to_deregister.remove(pick - busy.len() - to_register.len());
+                inst.deregister(&mut actions);
+            }
+            if retire && inst.is_idle() {
+                out.left.remove(&NodeId(node));
+            }
+            for a in actions {
+                out.actions.push((NodeId(node), a));
+                match a {
+                    RegAction::Send { to, msg } => {
+                        links.entry((node, to.index())).or_default().push_back(msg);
+                    }
+                    RegAction::Registered => to_deregister.push(node),
+                    RegAction::Free => {
+                        out.freed.insert(NodeId(node));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Dropping idle instances and recreating them lazily is unobservable: over
+    /// path, star and binary cluster trees and many seeded interleavings, the run
+    /// that retires idle instances produces the same action stream and frees the
+    /// same nodes as the run that keeps every instance, and ends holding none.
+    #[test]
+    fn retiring_idle_instances_is_unobservable() {
+        let path: Vec<Option<usize>> = (0..6usize).map(|v| v.checked_sub(1)).collect();
+        let star: Vec<Option<usize>> =
+            (0..6).map(|v| if v == 0 { None } else { Some(0) }).collect();
+        let binary: Vec<Option<usize>> =
+            (0..15).map(|v| if v == 0 { None } else { Some((v - 1) / 2) }).collect();
+        let mut recreated = 0;
+        for (name, tree) in [("path", &path), ("star", &star), ("binary", &binary)] {
+            for seed in 0..300 {
+                let kept = run_interleaving(tree, seed, false);
+                let retired = run_interleaving(tree, seed, true);
+                assert_eq!(kept.actions, retired.actions, "{name} seed {seed}: action streams");
+                assert_eq!(kept.freed, retired.freed, "{name} seed {seed}: freed sets");
+                assert_eq!(kept.freed, kept.registrants, "{name} seed {seed}: liveness");
+                for (v, inst) in &kept.left {
+                    assert!(inst.is_idle(), "{name} seed {seed}: node {v} not idle: {inst:?}");
+                }
+                assert!(retired.left.is_empty(), "{name} seed {seed}: retained instances");
+                recreated += retired.created - kept.created;
+            }
+        }
+        assert!(recreated > 0, "no interleaving ever recreated a retired instance");
     }
 }

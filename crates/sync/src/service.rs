@@ -57,11 +57,12 @@ use ds_graph::{Graph, NodeId};
 use ds_netsim::async_engine::SimLimits;
 use ds_netsim::delay::DelayModel;
 use ds_netsim::event_driven::EventDriven;
-use ds_netsim::pool::WorkerPool;
+use ds_netsim::pool::{PanicPayload, WorkerPool};
 use ds_netsim::sync_engine::run_sync;
 use ds_netsim::{FaultPlan, SchedulerKind, SlabBank};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 /// The synchronizer parameters a cover construction depends on (besides the
@@ -433,6 +434,18 @@ where
     req.run_via_session(make, |s| s.recycle(bank.clone()), cfg, bound)
 }
 
+/// The per-slot error for a request that panicked, carrying the panic message.
+fn panicked(payload: PanicPayload) -> SessionError {
+    let message = match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => match payload.downcast_ref::<&str>() {
+            Some(message) => (*message).to_string(),
+            None => "<non-string panic payload>".to_string(),
+        },
+    };
+    SessionError::Panicked { message }
+}
+
 /// One queued unit of pool work: a request, the shared cache/bank handles,
 /// its own clone of the algorithm factory, and a result slot the worker
 /// fills. Reassembled by `index` after out-of-order completion.
@@ -492,8 +505,11 @@ impl SessionPool {
     /// state (the usual determinism contract for factories).
     ///
     /// Requests are independent: one failing (its `Err` is returned in its
-    /// slot) never affects another. A panicking protocol propagates after
-    /// the whole batch drained, like the sharded engine's worker barrier.
+    /// slot) never affects another. That includes panics: a request whose
+    /// factory, protocol or engine panics returns
+    /// [`SessionError::Panicked`] in its own slot, every other slot keeps its
+    /// result, and the pool stays usable for later batches. A panicked run's
+    /// engine state is dropped, never checked back into the bank.
     pub fn run_batch<'g, A, F>(
         &self,
         requests: &[ServiceRequest<'g>],
@@ -513,7 +529,10 @@ impl SessionPool {
                 .enumerate()
                 .map(|(i, req)| {
                     let mut make = make.clone();
-                    run_one(req, &self.cache, &self.bank, &mut |v| make(i, v))
+                    catch_unwind(AssertUnwindSafe(|| {
+                        run_one(req, &self.cache, &self.bank, &mut |v| make(i, v))
+                    }))
+                    .unwrap_or_else(|payload| Err(panicked(payload)))
                 })
                 .collect();
         }
@@ -537,17 +556,12 @@ impl SessionPool {
                 );
             }
             let mut results: Vec<_> = (0..requests.len()).map(|_| None).collect();
-            let mut panicked = None;
             for _ in 0..requests.len() {
                 let (_, job, panic) = pool.collect();
-                panicked = panicked.or(panic);
-                results[job.index] = job.result;
-            }
-            // Resume only after every job answered, so no worker is left
-            // sending into a dropped channel (same discipline as the sharded
-            // engine's barrier).
-            if let Some(payload) = panicked {
-                std::panic::resume_unwind(payload);
+                results[job.index] = match panic {
+                    Some(payload) => Some(Err(panicked(payload))),
+                    None => job.result,
+                };
             }
             results.into_iter().map(|r| r.expect("every job ran")).collect()
         })

@@ -148,6 +148,14 @@ pub enum SessionError {
     },
     /// The underlying simulation failed.
     Sim(SimError),
+    /// The request panicked inside a [`SessionPool`](crate::service::SessionPool)
+    /// batch (in the algorithm factory, the protocol, or the engine). The pool
+    /// catches the panic so that the other requests of the batch keep their
+    /// results.
+    Panicked {
+        /// The panic message (`"<non-string panic payload>"` if it had none).
+        message: String,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -160,6 +168,7 @@ impl fmt::Display for SessionError {
                 write!(f, "invalid simulation limits: {what} must be positive")
             }
             SessionError::Sim(e) => write!(f, "simulation error: {e}"),
+            SessionError::Panicked { message } => write!(f, "request panicked: {message}"),
         }
     }
 }

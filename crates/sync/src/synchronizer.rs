@@ -39,12 +39,23 @@
 //! definition is the well-founded variant needed for general (non-BFS) event-driven
 //! algorithms, and anchors register whenever they have any execution-tree child
 //! (the paper's `prev(p)`-emptiness test is not evaluable at that moment for general
-//! algorithms). Both keep the correctness invariants; the measured overheads remain
-//! polylogarithmic (see DESIGN.md §4 and the `exp_*` binaries in `ds-bench`).
+//! algorithms). Both keep the correctness invariants. They do not keep the overheads
+//! polylogarithmic at scale: the committed E9 data (`exp_perf` in `ds-bench`) show
+//! the det time and message overheads growing with the diameter on grids, tori and
+//! cycles, and staying flat only on random-regular graphs, where the diameter is
+//! logarithmic. ROADMAP item 1 tracks the cause.
+//!
+//! # State lifetime
+//!
+//! Registration instances and base-stage barrier entries exist only while a wave
+//! passes through them: an idle registration instance is dropped (it equals the
+//! fresh one a later message would create) and a barrier entry is dropped once its
+//! phase completes at this node, since no later message names it. DESIGN.md §3.4
+//! gives the argument.
 
 use crate::flat::{FlatMap, FlatSet, PulseSet};
 use crate::pulse;
-use crate::registration::{RegAction, RegMsg, RegistrationInstance, TreePosition};
+use crate::registration::{ChildEdge, RegAction, RegMsg, RegistrationInstance};
 use ds_covers::builder::build_synchronizer_cover;
 use ds_covers::{ClusterId, LayeredSparseCover};
 use ds_graph::{metrics, Graph, NodeId};
@@ -211,17 +222,16 @@ impl SynchronizerConfig {
         &self.tracked[q as usize]
     }
 
-    /// Tree position of node `v` in cluster `cluster` of cover layer `cover_idx`.
-    fn tree_position(&self, cover_idx: usize, cluster: ClusterId, v: NodeId) -> TreePosition {
-        let c = self.covers.level(cover_idx).cluster(cluster);
-        TreePosition { parent: c.parent_of(v), children: c.children_of(v).to_vec() }
+    /// The clusters of stage `p`'s cover layer that contain `v`: the clusters an
+    /// anchor of stage `p` registers in.
+    fn member_clusters(&self, p: u64, v: NodeId) -> &[ClusterId] {
+        self.covers.level(self.cover_idx(p)).clusters_of(v)
     }
 }
 
 /// Per-stage safety state at one virtual node.
 #[derive(Clone, Debug, Default)]
 struct VStage {
-    safe_children: FlatSet<NodeId>,
     safe_self_child: bool,
     subtree_safe: bool,
     reported_up: bool,
@@ -229,10 +239,11 @@ struct VStage {
     gate_started: bool,
 }
 
-/// Anchor bookkeeping for one stage anchored at this virtual node.
+/// Anchor bookkeeping for one stage anchored at this virtual node. The clusters
+/// themselves are `SynchronizerConfig::member_clusters` of the stage.
 #[derive(Clone, Debug)]
 struct AnchorStage {
-    clusters: Vec<ClusterId>,
+    clusters: usize,
     registered: usize,
     deregistered: bool,
     dereg_requested: bool,
@@ -251,6 +262,10 @@ struct VNode<M> {
     unacked: usize,
     undecided: usize,
     children_remote: FlatSet<NodeId>,
+    /// `(stage, child)`: remote child `child` reported its subtree `stage`-safe.
+    /// One set per virtual node rather than one per stage, so the reports of all
+    /// tracked stages share one allocation.
+    safe_reports: FlatSet<(u64, NodeId)>,
     child_self: bool,
     complete: bool,
     goaheads: FlatSet<u64>,
@@ -308,8 +323,18 @@ pub struct DetSynchronizer<A: EventDriven> {
     /// Stages for which this physical node has received a recipient-level Go-Ahead.
     goahead_recv: PulseSet,
     vnodes: FlatMap<u64, VNode<A::Msg>>,
+    /// Registration instances with a wave passing through them; idle ones are
+    /// dropped (see [`DetSynchronizer::run_registration`]).
     reg: FlatMap<(u64, u32), RegistrationInstance>,
+    /// Action buffer of the registration funnel, reused across calls.
+    reg_actions: Vec<RegAction>,
+    /// Free list of child-edge buffers of retired registration instances.
+    spare_edges: Vec<Vec<ChildEdge>>,
+    /// Phase-A barriers still in progress; an entry is dropped once its phase A
+    /// completes at this node.
     barrier_a: FlatMap<(u32, u32), BarrierA>,
+    /// Phase-B barriers still in progress; an entry is dropped once its phase B
+    /// completes at this node.
     barrier_b: FlatMap<(u64, u32), BarrierB>,
     /// Phase-A confirmations still missing before pulse-0 messages may be sent.
     init_barrier_pending: usize,
@@ -338,6 +363,8 @@ impl<A: EventDriven> DetSynchronizer<A> {
             goahead_recv: PulseSet::with_bound(bound),
             vnodes: FlatMap::new(),
             reg: FlatMap::new(),
+            reg_actions: Vec::new(),
+            spare_edges: Vec::new(),
             barrier_a: FlatMap::new(),
             barrier_b: FlatMap::new(),
             init_barrier_pending: 0,
@@ -357,6 +384,15 @@ impl<A: EventDriven> DetSynchronizer<A> {
     /// execution; exposed for the test suite).
     pub fn ordering_violations(&self) -> u64 {
         self.ordering_violations
+    }
+
+    /// Registration instances and barrier entries this node currently holds, as
+    /// `(registrations, barriers)`. Both are `(0, 0)` once a run has finished: every
+    /// registration wave and every base-stage barrier has passed (test-visible form
+    /// of the state-lifetime argument in DESIGN.md §3.4).
+    #[doc(hidden)]
+    pub fn retained_entries(&self) -> (usize, usize) {
+        (self.reg.len(), self.barrier_a.len() + self.barrier_b.len())
     }
 
     /// Diagnostic dump of the node's stall-relevant state (for debugging deadlocks).
@@ -382,19 +418,19 @@ impl<A: EventDriven> DetSynchronizer<A> {
         for (p, v) in self.vnodes.iter() {
             let _ = writeln!(
                 s,
-                "  vnode p={p}: complete={} sent_all={} unacked={} undecided={} child_self={} children_remote={:?} parent_remote={:?} self_parent={} goaheads={:?}",
+                "  vnode p={p}: complete={} sent_all={} unacked={} undecided={} child_self={} children_remote={:?} parent_remote={:?} self_parent={} goaheads={:?} safe_reports={:?}",
                 v.complete, v.sent_all, v.unacked, v.undecided, v.child_self,
                 v.children_remote.iter().collect::<Vec<_>>(),
                 v.parent_remote, v.self_parent,
-                v.goaheads.iter().collect::<Vec<_>>()
+                v.goaheads.iter().collect::<Vec<_>>(),
+                v.safe_reports.iter().collect::<Vec<_>>()
             );
             for (st, vs) in v.stages.iter() {
                 let _ = writeln!(
                     s,
-                    "    stage {st}: subtree_safe={} reported_up={} gate_pending={} gate_started={} safe_self_child={} safe_children={:?}",
+                    "    stage {st}: subtree_safe={} reported_up={} gate_pending={} gate_started={} safe_self_child={}",
                     vs.subtree_safe, vs.reported_up, vs.gate_pending, vs.gate_started,
-                    vs.safe_self_child,
-                    vs.safe_children.iter().collect::<Vec<_>>()
+                    vs.safe_self_child
                 );
             }
             for (st, a) in v.anchored.iter() {
@@ -409,48 +445,69 @@ impl<A: EventDriven> DetSynchronizer<A> {
         for ((st, cl), inst) in self.reg.iter() {
             let _ = writeln!(s, "  reg ({st},{cl}): {inst:?}");
         }
+        for (key, b) in self.barrier_a.iter() {
+            let _ = writeln!(s, "  barrier_a {key:?}: {b:?}");
+        }
+        for (key, b) in self.barrier_b.iter() {
+            let _ = writeln!(s, "  barrier_b {key:?}: {b:?}");
+        }
         s
     }
 
     // ----- helpers ---------------------------------------------------------------
 
-    fn send(
-        &self,
+    /// The registration funnel: runs `op` on this node's instance for
+    /// (`stage`, `cluster`), creating it if needed, then routes its actions. The
+    /// instance is dropped again as soon as it is idle — an idle instance is
+    /// indistinguishable from the fresh one the next operation would create
+    /// (DESIGN.md §3.4) — and its edge buffer goes to the free list, so neither
+    /// creating nor retiring an instance allocates in steady state.
+    // ds-lint: hot-path
+    fn run_registration(
+        &mut self,
         ctx: &mut SCtx<A>,
-        to: NodeId,
-        msg: SyncMsg<A::Msg>,
-        prio: u64,
-        class: MessageClass,
+        stage: u64,
+        cluster: ClusterId,
+        op: impl FnOnce(&mut RegistrationInstance, &mut Vec<RegAction>),
     ) {
-        ctx.send_with(to, msg, prio, class);
+        let key = (stage, cluster.0 as u32);
+        let mut actions = std::mem::take(&mut self.reg_actions);
+        let (cfg, me, spare) = (&self.cfg, self.me, &mut self.spare_edges);
+        let inst = self.reg.get_mut_or_insert_with(key, || {
+            let tree = cfg.covers.level(cfg.cover_idx(stage)).cluster(cluster);
+            let children = tree.children_of(me);
+            let edges = if children.is_empty() { None } else { spare.pop() };
+            RegistrationInstance::with_edges(
+                edges.unwrap_or_default(),
+                tree.parent_of(me),
+                children,
+            )
+        });
+        op(inst, &mut actions);
+        if inst.is_idle() {
+            let edges = self.reg.remove(key).expect("the instance was just used").into_edges();
+            // Leaves never allocated a buffer; only real ones are worth keeping.
+            if edges.capacity() > 0 {
+                self.spare_edges.push(edges);
+            }
+        }
+        self.handle_reg_actions(ctx, stage, cluster, &actions);
+        actions.clear();
+        self.reg_actions = actions;
     }
 
-    fn member_clusters(&self, stage: u64) -> Vec<ClusterId> {
-        let idx = self.cfg.cover_idx(stage);
-        self.cfg.covers.level(idx).clusters_of(self.me).to_vec()
-    }
-
-    fn reg_instance(&mut self, stage: u64, cluster: ClusterId) -> &mut RegistrationInstance {
-        let cfg = Arc::clone(&self.cfg);
-        let me = self.me;
-        self.reg.get_mut_or_insert_with((stage, cluster.0 as u32), || {
-            let idx = cfg.cover_idx(stage);
-            RegistrationInstance::new(cfg.tree_position(idx, cluster, me))
-        })
-    }
-
+    // ds-lint: hot-path
     fn handle_reg_actions(
         &mut self,
         ctx: &mut SCtx<A>,
         stage: u64,
         cluster: ClusterId,
-        actions: Vec<RegAction>,
+        actions: &[RegAction],
     ) {
-        for a in actions {
+        for &a in actions {
             match a {
                 RegAction::Send { to, msg } => {
-                    self.send(
-                        ctx,
+                    ctx.send_with(
                         to,
                         SyncMsg::Reg { stage, cluster: cluster.0 as u32, msg },
                         stage,
@@ -470,7 +527,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         if let Some(v) = self.vnodes.get_mut(anchor_pulse) {
             if let Some(a) = v.anchored.get_mut(stage) {
                 a.registered += 1;
-                fully_registered = a.registered == a.clusters.len();
+                fully_registered = a.registered == a.clusters;
             }
             let st = v.stages.get_mut_or_default(gate_stage);
             if st.gate_pending > 0 {
@@ -491,7 +548,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         if let Some(v) = self.vnodes.get_mut(anchor_pulse) {
             if let Some(a) = v.anchored.get_mut(stage) {
                 a.freed += 1;
-                if a.deregistered && a.freed == a.clusters.len() && !a.goahead_done {
+                if a.deregistered && a.freed == a.clusters && !a.goahead_done {
                     a.goahead_done = true;
                     done = true;
                 }
@@ -538,7 +595,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         for &s in &senders {
             let msg =
                 SyncMsg::Decision { pulse: p, created, chosen_parent: Some(s) == chosen_remote };
-            self.send(ctx, s, msg, p, MessageClass::Control);
+            ctx.send_with(s, msg, p, MessageClass::Control);
         }
 
         if created {
@@ -549,20 +606,21 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 parent_remote: chosen_remote,
                 self_parent: self_parent_available,
                 sent_all: true,
-                recipients: recipients.clone(),
-                unacked: outbox.len(),
                 undecided: recipients.len() + 1,
+                recipients,
+                unacked: outbox.len(),
                 children_remote: FlatSet::new(),
+                safe_reports: FlatSet::new(),
                 child_self: false,
                 complete: false,
-                goaheads: FlatSet::new(),
-                stages: FlatMap::new(),
+                goaheads: FlatSet::with_capacity(self.cfg.stages_tracked(p).len()),
+                stages: FlatMap::with_capacity(self.cfg.stages_tracked(p).len()),
                 anchored: FlatMap::new(),
                 pending_sends: Vec::new(),
             };
             self.vnodes.insert(p, vnode);
             for (to, payload) in outbox {
-                self.send(ctx, to, SyncMsg::Alg { pulse: p, payload }, p, MessageClass::Algorithm);
+                ctx.send_with(to, SyncMsg::Alg { pulse: p, payload }, p, MessageClass::Algorithm);
             }
             // Having sent at pulse p, this node is triggered at pulse p + 1.
             self.pending_triggers.insert(p + 1);
@@ -633,7 +691,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 let st = v.stages.get_mut_or_default(s);
                 v.complete
                     && (!v.child_self || st.safe_self_child)
-                    && v.children_remote.iter().all(|c| st.safe_children.contains(c))
+                    && v.children_remote.iter().all(|c| v.safe_reports.contains((s, c)))
             };
             let st = v.stages.get_mut_or_default(s);
             if !safe || st.subtree_safe {
@@ -648,42 +706,36 @@ impl<A: EventDriven> DetSynchronizer<A> {
         // Phase 2: if this virtual node is the anchor of stages whose registration is
         // triggered by s-safety (q == prev(s) > 0), start those registrations and gate
         // the upward report on their confirmation.
-        if q == info_prev && q > 0 {
-            let gate_stages: Vec<u64> = self.cfg.stages_with_prev(s).to_vec();
-            if has_children && !gate_stages.is_empty() {
-                let mut plan: Vec<(u64, ClusterId)> = Vec::new();
-                for &p in &gate_stages {
-                    for c in self.member_clusters(p) {
-                        plan.push((p, c));
-                    }
+        if q == info_prev && q > 0 && has_children {
+            let cfg = Arc::clone(&self.cfg);
+            let me = self.me;
+            let gate_stages = cfg.stages_with_prev(s);
+            let v = self.vnodes.get_mut(q).expect("vnode exists");
+            let st = v.stages.get_mut_or_default(s);
+            if !gate_stages.is_empty() && !st.gate_started {
+                st.gate_started = true;
+                st.gate_pending =
+                    gate_stages.iter().map(|&p| cfg.member_clusters(p, me).len()).sum();
+                for &p in gate_stages {
+                    let anchor = AnchorStage {
+                        clusters: cfg.member_clusters(p, me).len(),
+                        registered: 0,
+                        deregistered: false,
+                        dereg_requested: false,
+                        freed: 0,
+                        goahead_done: false,
+                    };
+                    // Stage p's anchor pulse is prev(prev(p)) and its gate is the
+                    // one-time `gate_started`, so each (stage, cluster) registration
+                    // starts once per node. Retired registration instances rely on
+                    // this: a recreated instance would not catch a second
+                    // deregistration.
+                    let first = v.anchored.insert(p, anchor).is_none();
+                    debug_assert!(first, "stage {p} registration started twice at {me}");
                 }
-                let already_started = {
-                    let v = self.vnodes.get_mut(q).expect("vnode exists");
-                    let st = v.stages.get_mut_or_default(s);
-                    let started = st.gate_started;
-                    if !started {
-                        st.gate_started = true;
-                        st.gate_pending = plan.len();
-                        for &p in &gate_stages {
-                            let clusters: Vec<ClusterId> =
-                                plan.iter().filter(|(pp, _)| *pp == p).map(|(_, c)| *c).collect();
-                            v.anchored.get_mut_or_insert_with(p, || AnchorStage {
-                                clusters,
-                                registered: 0,
-                                deregistered: false,
-                                dereg_requested: false,
-                                freed: 0,
-                                goahead_done: false,
-                            });
-                        }
-                    }
-                    started
-                };
-                if !already_started {
-                    for (p, c) in plan {
-                        let mut actions = Vec::new();
-                        self.reg_instance(p, c).register(&mut actions);
-                        self.handle_reg_actions(ctx, p, c, actions);
+                for &p in gate_stages {
+                    for &c in cfg.member_clusters(p, me) {
+                        self.run_registration(ctx, p, c, |inst, a| inst.register(a));
                     }
                 }
             }
@@ -695,21 +747,10 @@ impl<A: EventDriven> DetSynchronizer<A> {
             if info_anchor == 0 && self.cfg.stage(s).prev_prev == 0 {
                 self.work.push_back(Work::BarrierBCheck(s));
             }
-            let mut dereg_plan: Vec<(u64, ClusterId)> = Vec::new();
-            if let Some(v) = self.vnodes.get_mut(q) {
-                if let Some(a) = v.anchored.get_mut(s) {
-                    a.dereg_requested = true;
-                    if a.registered == a.clusters.len() && !a.deregistered {
-                        a.deregistered = true;
-                        dereg_plan = a.clusters.iter().map(|&c| (s, c)).collect();
-                    }
-                }
+            if let Some(a) = self.vnodes.get_mut(q).and_then(|v| v.anchored.get_mut(s)) {
+                a.dereg_requested = true;
             }
-            for (p, c) in dereg_plan {
-                let mut actions = Vec::new();
-                self.reg_instance(p, c).deregister(&mut actions);
-                self.handle_reg_actions(ctx, p, c, actions);
-            }
+            self.maybe_flush_anchor(ctx, q, s);
         }
 
         // Phase 4: report s-safety to the execution-tree parent (gated).
@@ -731,8 +772,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
             (v.parent_remote, v.self_parent)
         };
         if let Some(parent) = report_remote {
-            self.send(
-                ctx,
+            ctx.send_with(
                 parent,
                 SyncMsg::Safe { stage: s, sender_pulse: q },
                 s,
@@ -746,52 +786,43 @@ impl<A: EventDriven> DetSynchronizer<A> {
     /// Handles a pending deregistration that was blocked on outstanding registrations,
     /// and pending safety reports blocked on the gate. Re-driven from the work queue.
     fn maybe_flush_anchor(&mut self, ctx: &mut SCtx<A>, q: u64, s: u64) {
-        let mut dereg_plan: Vec<(u64, ClusterId)> = Vec::new();
-        if let Some(v) = self.vnodes.get_mut(q) {
-            if let Some(a) = v.anchored.get_mut(s) {
-                if a.dereg_requested && a.registered == a.clusters.len() && !a.deregistered {
-                    a.deregistered = true;
-                    dereg_plan = a.clusters.iter().map(|&c| (s, c)).collect();
-                }
-            }
+        let Some(a) = self.vnodes.get_mut(q).and_then(|v| v.anchored.get_mut(s)) else {
+            return;
+        };
+        if !a.dereg_requested || a.registered != a.clusters || a.deregistered {
+            return;
         }
-        for (p, c) in dereg_plan {
-            let mut actions = Vec::new();
-            self.reg_instance(p, c).deregister(&mut actions);
-            self.handle_reg_actions(ctx, p, c, actions);
+        a.deregistered = true;
+        let cfg = Arc::clone(&self.cfg);
+        for &c in cfg.member_clusters(s, self.me) {
+            self.run_registration(ctx, s, c, |inst, a| inst.deregister(a));
         }
     }
 
     // ----- go-aheads ----------------------------------------------------------------
 
+    // ds-lint: hot-path
     fn record_goahead(&mut self, ctx: &mut SCtx<A>, q: u64, s: u64) {
-        let (forward_children, forward_recipients, self_child) = {
-            let Some(v) = self.vnodes.get_mut(q) else { return };
-            if v.goaheads.contains(s) {
-                return;
+        let Some(v) = self.vnodes.get_mut(q) else { return };
+        if !v.goaheads.insert(s) {
+            return;
+        }
+        if s >= q + 2 {
+            for c in v.children_remote.iter() {
+                ctx.send_with(
+                    c,
+                    SyncMsg::GoAheadExec { stage: s, sender_pulse: q },
+                    s,
+                    MessageClass::Control,
+                );
             }
-            v.goaheads.insert(s);
-            let children: Vec<NodeId> =
-                if s >= q + 2 { v.children_remote.iter().collect() } else { Vec::new() };
-            let recipients: Vec<NodeId> =
-                if q + 1 == s { v.recipients.clone() } else { Vec::new() };
-            (children, recipients, v.child_self && s >= q + 2)
-        };
-        for c in forward_children {
-            self.send(
-                ctx,
-                c,
-                SyncMsg::GoAheadExec { stage: s, sender_pulse: q },
-                s,
-                MessageClass::Control,
-            );
+            if v.child_self {
+                self.work.push_back(Work::GoAhead(q + 1, s));
+            }
         }
-        if self_child {
-            self.work.push_back(Work::GoAhead(q + 1, s));
-        }
-        if !forward_recipients.is_empty() || q + 1 == s {
-            for r in forward_recipients {
-                self.send(ctx, r, SyncMsg::GoAheadRecipient { stage: s }, s, MessageClass::Control);
+        if q + 1 == s {
+            for &r in &v.recipients {
+                ctx.send_with(r, SyncMsg::GoAheadRecipient { stage: s }, s, MessageClass::Control);
             }
             self.goahead_recv.insert(s);
             self.work.push_back(Work::TryProcess);
@@ -806,6 +837,16 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     fn setup_barriers(&mut self, ctx: &mut SCtx<A>) {
         let cfg = Arc::clone(&self.cfg);
+        let me = self.me;
+        // Size the maps once: they only shrink from here on.
+        let tree_clusters = |idx: usize| cfg.covers.level(idx).tree_clusters_of(me).len();
+        let base_stages = cfg.base_stages();
+        self.barrier_a =
+            FlatMap::with_capacity(cfg.base_cover_levels.iter().map(|&i| tree_clusters(i)).sum());
+        self.barrier_b = FlatMap::with_capacity(
+            base_stages.iter().map(|&p| tree_clusters(cfg.cover_idx(p))).sum(),
+        );
+        self.base_goahead_recv = FlatMap::with_capacity(base_stages.len());
         // Phase A: one barrier per (base cover level, cluster tree containing me).
         for &idx in &cfg.base_cover_levels {
             let cover = cfg.covers.level(idx);
@@ -859,8 +900,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         state.sent_up = true;
         match cluster.parent_of(self.me) {
             Some(parent) => {
-                self.send(
-                    ctx,
+                ctx.send_with(
                     parent,
                     SyncMsg::BarrierAUp { cover_idx: key.0, cluster: key.1 },
                     0,
@@ -872,15 +912,16 @@ impl<A: EventDriven> DetSynchronizer<A> {
     }
 
     /// Phase A complete at the root (or received from the parent): deliver locally and
-    /// broadcast down the cluster tree.
+    /// broadcast down the cluster tree. Every child of this node reported up before
+    /// this node did, so no later message names `key`, and its entry is dropped.
     fn barrier_a_complete(&mut self, ctx: &mut SCtx<A>, key: (u32, u32)) {
+        self.barrier_a.remove(key);
         let cfg = Arc::clone(&self.cfg);
         let (idx, cid) = (key.0 as usize, ClusterId(key.1 as usize));
         let cover = cfg.covers.level(idx);
         let cluster = cover.cluster(cid);
         for &c in cluster.children_of(self.me) {
-            self.send(
-                ctx,
+            ctx.send_with(
                 c,
                 SyncMsg::BarrierADown { cover_idx: key.0, cluster: key.1 },
                 0,
@@ -903,7 +944,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         v.sent_all = true;
         let sends = std::mem::take(&mut v.pending_sends);
         for (to, payload) in sends {
-            self.send(ctx, to, SyncMsg::Alg { pulse: 0, payload }, 0, MessageClass::Algorithm);
+            ctx.send_with(to, SyncMsg::Alg { pulse: 0, payload }, 0, MessageClass::Algorithm);
         }
         self.work.push_back(Work::RecomputeComplete(0));
         for &s in self.cfg.stages_tracked(0) {
@@ -912,6 +953,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
     }
 
     /// Re-evaluates this node's phase-B contributions for base stage `stage`.
+    // ds-lint: hot-path
     fn barrier_b_check(&mut self, ctx: &mut SCtx<A>, stage: u64) {
         let cfg = Arc::clone(&self.cfg);
         let idx = cfg.cover_idx(stage);
@@ -924,8 +966,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
         } else {
             true
         };
-        let tree_clusters: Vec<ClusterId> = cover.tree_clusters_of(self.me).to_vec();
-        for cid in tree_clusters {
+        for &cid in cover.tree_clusters_of(self.me) {
             let key = (stage, cid.0 as u32);
             let member = cover.clusters_of(self.me).contains(&cid);
             let gate_on_safety = self.is_initiator && member;
@@ -944,8 +985,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
                 let cluster = cover.cluster(cid);
                 match cluster.parent_of(self.me) {
                     Some(parent) => {
-                        self.send(
-                            ctx,
+                        ctx.send_with(
                             parent,
                             SyncMsg::BarrierBUp { stage, cluster: key.1 },
                             stage,
@@ -959,15 +999,16 @@ impl<A: EventDriven> DetSynchronizer<A> {
     }
 
     /// Phase B complete for (stage, cluster): broadcast the base-stage Go-Ahead down
-    /// the cluster tree and count it locally if this node is an initiator member.
+    /// the cluster tree and count it locally if this node is an initiator member. As
+    /// in phase A, no later message names (stage, cluster), so its entry is dropped.
     fn barrier_b_complete(&mut self, ctx: &mut SCtx<A>, stage: u64, cid: ClusterId) {
+        self.barrier_b.remove((stage, cid.0 as u32));
         let cfg = Arc::clone(&self.cfg);
         let idx = cfg.cover_idx(stage);
         let cover = cfg.covers.level(idx);
         let cluster = cover.cluster(cid);
         for &c in cluster.children_of(self.me) {
-            self.send(
-                ctx,
+            ctx.send_with(
                 c,
                 SyncMsg::BarrierBDown { stage, cluster: cid.0 as u32 },
                 stage,
@@ -986,6 +1027,7 @@ impl<A: EventDriven> DetSynchronizer<A> {
 
     // ----- work queue ------------------------------------------------------------------
 
+    // ds-lint: hot-path
     fn drain_work(&mut self, ctx: &mut SCtx<A>) {
         let mut guard = 0u64;
         while let Some(item) = self.work.pop_front() {
@@ -1033,14 +1075,15 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
                 parent_remote: None,
                 self_parent: false,
                 sent_all: false,
-                recipients: recipients.clone(),
-                unacked: outbox.len(),
                 undecided: recipients.len() + 1,
+                recipients,
+                unacked: outbox.len(),
                 children_remote: FlatSet::new(),
+                safe_reports: FlatSet::new(),
                 child_self: false,
                 complete: false,
-                goaheads: FlatSet::new(),
-                stages: FlatMap::new(),
+                goaheads: FlatSet::with_capacity(self.cfg.stages_tracked(0).len()),
+                stages: FlatMap::with_capacity(self.cfg.stages_tracked(0).len()),
                 anchored: FlatMap::new(),
                 pending_sends: outbox,
             };
@@ -1053,6 +1096,7 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
         self.drain_work(ctx);
     }
 
+    // ds-lint: hot-path
     fn on_message(&mut self, from: NodeId, msg: Self::Message, ctx: &mut Ctx<Self::Message>) {
         match msg {
             SyncMsg::Alg { pulse, payload } => {
@@ -1062,7 +1106,7 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
                     }
                 }
                 self.received.get_mut_or_default(pulse).push((from, payload));
-                self.send(ctx, from, SyncMsg::AlgAck { pulse }, pulse, MessageClass::Control);
+                ctx.send_with(from, SyncMsg::AlgAck { pulse }, pulse, MessageClass::Control);
                 if !self.processed.contains(pulse + 1) {
                     self.pending_triggers.insert(pulse + 1);
                 }
@@ -1075,29 +1119,27 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
                 self.work.push_back(Work::RecomputeComplete(pulse));
             }
             SyncMsg::Decision { pulse, created, chosen_parent } => {
-                let mut forward: Vec<u64> = Vec::new();
                 if let Some(v) = self.vnodes.get_mut(pulse - 1) {
                     v.undecided = v.undecided.saturating_sub(1);
                     if created && chosen_parent {
                         v.children_remote.insert(from);
-                        forward = v.goaheads.iter().filter(|&s| s > pulse).collect();
+                        // The new child missed the Go-Aheads already recorded here.
+                        for s in v.goaheads.iter().filter(|&s| s > pulse) {
+                            ctx.send_with(
+                                from,
+                                SyncMsg::GoAheadExec { stage: s, sender_pulse: pulse - 1 },
+                                s,
+                                MessageClass::Control,
+                            );
+                        }
                     }
-                }
-                for s in forward {
-                    self.send(
-                        ctx,
-                        from,
-                        SyncMsg::GoAheadExec { stage: s, sender_pulse: pulse - 1 },
-                        s,
-                        MessageClass::Control,
-                    );
                 }
                 self.work.push_back(Work::RecomputeComplete(pulse - 1));
             }
             SyncMsg::Safe { stage, sender_pulse } => {
                 let parent_pulse = sender_pulse - 1;
                 if let Some(v) = self.vnodes.get_mut(parent_pulse) {
-                    v.stages.get_mut_or_default(stage).safe_children.insert(from);
+                    v.safe_reports.insert((stage, from));
                 }
                 self.work.push_back(Work::RecomputeStage(parent_pulse, stage));
             }
@@ -1110,17 +1152,14 @@ impl<A: EventDriven> Protocol for DetSynchronizer<A> {
             }
             SyncMsg::Reg { stage, cluster, msg } => {
                 let cid = ClusterId(cluster as usize);
-                let mut actions = Vec::new();
-                self.reg_instance(stage, cid).on_message(from, msg, &mut actions);
-                self.handle_reg_actions(ctx, stage, cid, actions);
+                self.run_registration(ctx, stage, cid, |inst, a| inst.on_message(from, msg, a));
             }
             SyncMsg::BarrierAUp { cover_idx, cluster } => {
                 let key = (cover_idx, cluster);
-                let complete_at_root = {
-                    let Some(state) = self.barrier_a.get_mut(key) else { return };
+                let complete_at_root = self.barrier_a.get_mut(key).is_some_and(|state| {
                     state.children_left = state.children_left.saturating_sub(1);
                     state.children_left == 0 && !state.sent_up
-                };
+                });
                 if complete_at_root {
                     self.barrier_a_try_advance(ctx, key);
                 }
@@ -1235,5 +1274,44 @@ mod tests {
         }
         // The initiator's dump names its pulse-0 virtual node.
         assert!(report.nodes[0].debug_stall().contains("vnode p=0"));
+    }
+
+    /// Registration instances and barrier entries live only while a wave passes
+    /// through them: once a run has finished, no node holds any.
+    #[test]
+    fn finished_runs_retain_no_registration_or_barrier_state() {
+        let families = [
+            ("grid", Graph::grid(8, 8)),
+            ("torus", Graph::torus(8, 8)),
+            ("cycle", Graph::cycle(24)),
+            ("random-regular", Graph::random_regular(256, 3, 5)),
+        ];
+        for (name, graph) in &families {
+            let bound = metrics::diameter(graph).expect("connected") as u64 + 1;
+            let cfg = SynchronizerConfig::build(graph, bound);
+            // Non-base stages exist, so the runs below do register.
+            assert!((1..=bound).any(|s| !cfg.stages_with_prev(s).is_empty()), "{name}");
+            for delay in [DelayModel::uniform(), DelayModel::jitter(3), DelayModel::jitter(11)] {
+                let report = run_async(
+                    graph,
+                    delay.clone(),
+                    |v| {
+                        let alg = Flood { me: v, neighbors: graph.neighbors(v), hops: None };
+                        DetSynchronizer::new(v, alg, cfg.clone())
+                    },
+                    RunOptions::default(),
+                )
+                .expect("run");
+                for (i, node) in report.nodes.iter().enumerate() {
+                    assert!(node.algorithm().output().is_some(), "{name} {delay:?}: node {i}");
+                    assert_eq!(
+                        node.retained_entries(),
+                        (0, 0),
+                        "{name} {delay:?}: node {i} retained state:\n{}",
+                        node.debug_stall()
+                    );
+                }
+            }
+        }
     }
 }

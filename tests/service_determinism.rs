@@ -189,3 +189,75 @@ fn mixed_success_and_failure_slots_stay_independent() {
     // a failed run's engine state ever re-enter the recycling bank.
     assert_bit_identical(results[3].as_ref().expect("req 3"), &standalone, "req 3");
 }
+
+/// BFS that panics at node 5's first pulse when `boom` is set — a protocol
+/// bug confined to one request of a batch.
+#[derive(Debug)]
+struct Fragile<'g> {
+    bfs: BfsAlgorithm<'g>,
+    boom: bool,
+}
+
+impl EventDriven for Fragile<'_> {
+    type Msg = u64;
+    type Output = det_synchronizer::algos::bfs::BfsOutput;
+
+    fn on_init(&mut self, ctx: &mut det_synchronizer::netsim::PulseCtx<u64>) {
+        self.bfs.on_init(ctx);
+    }
+
+    fn on_pulse(
+        &mut self,
+        received: &[(NodeId, u64)],
+        ctx: &mut det_synchronizer::netsim::PulseCtx<u64>,
+    ) {
+        if self.boom && ctx.me() == NodeId(5) {
+            panic!("boom at node 5");
+        }
+        self.bfs.on_pulse(received, ctx);
+    }
+
+    fn output(&self) -> Option<Self::Output> {
+        self.bfs.output()
+    }
+}
+
+#[test]
+fn a_panicking_request_fails_alone_and_the_pool_survives() {
+    let grid = Graph::grid(5, 5);
+    let cycle = Graph::cycle(14);
+    let requests = vec![
+        ServiceRequest::on(&grid).delay(DelayModel::jitter(3)),
+        // The panicking request: its protocol panics mid-run.
+        ServiceRequest::on(&grid).delay(DelayModel::jitter(4)).pulse_bound(9),
+        ServiceRequest::on(&cycle).delay(DelayModel::jitter(5)),
+        ServiceRequest::on(&grid).delay(DelayModel::jitter(8)),
+    ];
+    let standalone: Vec<_> = requests.iter().map(run_standalone).collect();
+    for workers in [0, 2] {
+        let pool = SessionPool::new(workers);
+        let results = pool.run_batch::<Fragile<'_>, _>(&requests, |i, v| Fragile {
+            bfs: BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)]),
+            boom: i == 1,
+        });
+        match &results[1] {
+            Err(SessionError::Panicked { message }) => {
+                assert!(message.contains("boom at node 5"), "w{workers}: {message}")
+            }
+            other => panic!("w{workers}: expected a panicked slot, got {:?}", other.as_ref().err()),
+        }
+        for i in [0, 2, 3] {
+            let pooled = results[i].as_ref().unwrap_or_else(|e| panic!("w{workers} req {i}: {e}"));
+            assert_bit_identical(pooled, &standalone[i], &format!("w{workers} req {i}"));
+        }
+        // The same pool then serves a clean batch, bit-identical to standalone.
+        let clean = pool.run_batch::<Fragile<'_>, _>(&requests, |i, v| Fragile {
+            bfs: BfsAlgorithm::new(requests[i].graph, v, &[NodeId(0)]),
+            boom: false,
+        });
+        for (i, (pooled, solo)) in clean.iter().zip(&standalone).enumerate() {
+            let pooled = pooled.as_ref().unwrap_or_else(|e| panic!("w{workers} clean {i}: {e}"));
+            assert_bit_identical(pooled, solo, &format!("w{workers} clean req {i}"));
+        }
+    }
+}
